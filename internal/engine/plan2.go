@@ -190,7 +190,9 @@ func (r *RecordLinkJoin) Schema() table.Schema {
 	return r.Left.Schema().Concat(r.Right.Schema())
 }
 
-// Execute implements Plan.
+// Execute implements Plan. The right rows' key columns are restricted
+// once, when the first left row is scored; only the linked pairs are
+// materialized as output rows.
 func (r *RecordLinkJoin) Execute(ec *ExecCtx) (*Result, error) {
 	ec = ec.orBackground()
 	l, err := r.Left.Execute(ec)
@@ -202,43 +204,48 @@ func (r *RecordLinkJoin) Execute(ec *ExecCtx) (*Result, error) {
 		return nil, err
 	}
 	out := &Result{Name: l.Name + "≈" + rr.Name, Schema: r.Schema(), Degraded: l.Degraded + rr.Degraded}
+	var rkeys []table.Tuple
+	var linked []int // right rows linked to the current left row
 	for li, la := range l.Rows {
 		// The similarity scan is quadratic; honor cancellation per left row.
 		if err := ec.checkEvery(li); err != nil {
 			return nil, err
 		}
-		lkey, err := restrict(la.Row, r.LeftCols)
-		if err != nil {
+		lkey := make(table.Tuple, len(r.LeftCols))
+		if err := restrict(lkey, la.Row, r.LeftCols); err != nil {
 			return nil, err
 		}
-		best := -1.0
-		var matches []provenance.Annotated
-		for _, ra := range rr.Rows {
-			rkey, err := restrict(ra.Row, r.RightCols)
-			if err != nil {
+		if li == 0 {
+			if rkeys, err = restrictAll(rr.Rows, r.RightCols); err != nil {
 				return nil, err
 			}
+		}
+		best := -1.0
+		linked = linked[:0]
+		for ri, rkey := range rkeys {
 			s := r.Sim(lkey, rkey)
 			if s < r.Threshold {
 				continue
 			}
-			ann := provenance.Annotated{
-				Row:  append(la.Row.Clone(), ra.Row...),
-				Prov: provenance.Join(la.Prov, ra.Prov),
-			}
 			if r.BestOnly {
 				if s > best {
 					best = s
-					matches = matches[:0]
-					matches = append(matches, ann)
+					linked = append(linked[:0], ri)
 				} else if s == best {
-					matches = append(matches, ann)
+					linked = append(linked, ri)
 				}
 			} else {
-				matches = append(matches, ann)
+				linked = append(linked, ri)
 			}
 		}
-		out.Rows = append(out.Rows, matches...)
+		for _, ri := range linked {
+			ra := rr.Rows[ri]
+			row := make(table.Tuple, 0, len(la.Row)+len(ra.Row))
+			out.Rows = append(out.Rows, provenance.Annotated{
+				Row:  append(append(row, la.Row...), ra.Row...),
+				Prov: provenance.Join(la.Prov, ra.Prov),
+			})
+		}
 	}
 	if err := ec.opDone("LinkJoin", len(l.Rows)+len(rr.Rows), len(out.Rows)); err != nil {
 		return nil, err
@@ -246,15 +253,31 @@ func (r *RecordLinkJoin) Execute(ec *ExecCtx) (*Result, error) {
 	return out, nil
 }
 
-func restrict(row table.Tuple, cols []int) (table.Tuple, error) {
-	out := make(table.Tuple, len(cols))
+// restrict copies the key columns cols of row into key.
+func restrict(key, row table.Tuple, cols []int) error {
 	for i, c := range cols {
 		if c < 0 || c >= len(row) {
-			return nil, fmt.Errorf("engine: record link column %d out of range", c)
+			return fmt.Errorf("engine: record link column %d out of range", c)
 		}
-		out[i] = row[c]
+		key[i] = row[c]
 	}
-	return out, nil
+	return nil
+}
+
+// restrictAll restricts every row to cols. The keys share one backing
+// array, each capped so that a Similarity appending to its argument
+// cannot write into the next key.
+func restrictAll(rows []provenance.Annotated, cols []int) ([]table.Tuple, error) {
+	k := len(cols)
+	vals := make(table.Tuple, len(rows)*k)
+	keys := make([]table.Tuple, len(rows))
+	for i, ra := range rows {
+		keys[i] = vals[i*k : (i+1)*k : (i+1)*k]
+		if err := restrict(keys[i], ra.Row, cols); err != nil {
+			return nil, err
+		}
+	}
+	return keys, nil
 }
 
 func (r *RecordLinkJoin) String() string {

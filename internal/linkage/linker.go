@@ -62,11 +62,13 @@ func (l *Linker) vector(a, b string) []float64 {
 	return v
 }
 
-// Score returns the weighted similarity of a pair, clamped to [0,1].
+// Score returns the weighted similarity of a pair, clamped to [0,1]. It
+// adds Bias + Σ wᵢ·fᵢ in feature order, as Train does over vector, without
+// materializing the vector.
 func (l *Linker) Score(a, b string) float64 {
 	s := l.Bias
-	for i, v := range l.vector(a, b) {
-		s += l.Weights[i] * v
+	for i, f := range l.Features {
+		s += l.Weights[i] * f.Fn(a, b)
 	}
 	if s < 0 {
 		return 0

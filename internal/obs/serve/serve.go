@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,11 +93,15 @@ type Server struct {
 	done     chan struct{}
 	err      error
 	stopCtx  func() bool
+	// drained is closed once a shutdown has finished draining; Serve
+	// returns as soon as the listener closes, before that.
+	drained   chan struct{}
+	drainOnce sync.Once
 }
 
 // New builds a server on the given sources.
 func New(cfg Config) *Server {
-	s := &Server{cfg: cfg, done: make(chan struct{})}
+	s := &Server{cfg: cfg, done: make(chan struct{}), drained: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -147,13 +152,18 @@ func (s *Server) Start(ctx context.Context, addr string) error {
 	s.srv = &http.Server{Handler: s.mux, BaseContext: func(net.Listener) context.Context { return ctx }}
 	go func() {
 		err := s.srv.Serve(ln)
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
+		if errors.Is(err, http.ErrServerClosed) {
+			// Keep-alive connections are still open until the shutdown
+			// has drained them; the server has not stopped before that.
+			<-s.drained
+		} else if err != nil {
 			s.err = err
 		}
 		close(s.done)
 	}()
 	if ctx != nil {
 		s.stopCtx = context.AfterFunc(ctx, func() {
+			defer s.markDrained()
 			s.draining.Store(true)
 			sctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			defer cancel()
@@ -191,9 +201,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	s.draining.Store(true)
 	err := s.srv.Shutdown(ctx)
+	s.markDrained()
 	<-s.done
 	return err
 }
+
+func (s *Server) markDrained() { s.drainOnce.Do(func() { close(s.drained) }) }
 
 // snapshot gathers the scrape-time state shared by /metrics and
 // /healthz.

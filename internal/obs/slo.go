@@ -77,6 +77,14 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	return c
 }
 
+// minFastSamples is how many executions the fast window must hold before
+// its burn rate can raise FastAlert. Over fewer, one slow execution is a
+// burn of 1/n ÷ budget — 20× for one slow refresh in the first five after
+// boot at a 99% target — which says nothing about a sustained regression
+// yet would shed every Create for the whole fast window. At 20 samples a
+// 99% target needs 3 slow executions to reach the default 14.4× burn.
+const minFastSamples = 20
+
 // SLOTracker tracks one latency objective over fast and slow rolling
 // windows and computes burn rates from them. Safe for concurrent use;
 // a nil *SLOTracker is inert.
@@ -170,7 +178,8 @@ func (s SLOStatus) String() string {
 // error rate divided by the error budget (1 - Target): burn 1.0 spends
 // budget exactly as fast as the objective allows, 14.4 exhausts a
 // 30-day budget in ~2 days. An empty window reports zero burn (no
-// traffic is not an outage).
+// traffic is not an outage), and the fast alert waits for
+// minFastSamples executions in its window.
 func (t *SLOTracker) Status() SLOStatus {
 	if t == nil {
 		return SLOStatus{}
@@ -198,7 +207,7 @@ func (t *SLOTracker) Status() SLOStatus {
 		st.SlowErrRate = float64(above) / float64(total)
 		st.SlowBurn = st.SlowErrRate / budget
 	}
-	st.FastAlert = st.FastBurn >= t.cfg.FastBurnThreshold
+	st.FastAlert = st.FastCount >= minFastSamples && st.FastBurn >= t.cfg.FastBurnThreshold
 	st.SlowAlert = st.SlowBurn >= t.cfg.SlowBurnThreshold
 	return st
 }

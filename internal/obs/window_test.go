@@ -279,3 +279,28 @@ func TestWindowHistogramLargeClockJumps(t *testing.T) {
 		t.Fatalf("AboveThreshold after expiry = (%d, %d), want (0, 0)", above, total)
 	}
 }
+
+// TestSLOFastAlertNeedsMinimumSamples: one slow refresh among the first
+// few after boot burns far past the threshold but raises no fast alert;
+// a sustained burn over enough samples still does.
+func TestSLOFastAlertNeedsMinimumSamples(t *testing.T) {
+	clock := resilience.NewVirtualClock()
+	tr := NewSLOTracker(DefaultSLOConfig(), clock.Now)
+	tr.Observe(40 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		tr.Observe(2 * time.Millisecond)
+	}
+	st := tr.Status()
+	if st.FastBurn < st.FastBurnThreshold {
+		t.Fatalf("burn %.1f should exceed the threshold on %d samples", st.FastBurn, st.FastCount)
+	}
+	if st.FastAlert {
+		t.Fatalf("fast alert raised on %d samples: %+v", st.FastCount, st)
+	}
+	for i := 0; i < minFastSamples; i++ {
+		tr.Observe(40 * time.Millisecond)
+	}
+	if st := tr.Status(); !st.FastAlert {
+		t.Fatalf("sustained burn raised no fast alert: %+v", st)
+	}
+}

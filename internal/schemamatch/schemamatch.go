@@ -13,6 +13,7 @@
 package schemamatch
 
 import (
+	"math"
 	"sort"
 	"strings"
 
@@ -184,26 +185,28 @@ func valueOverlap(a, b map[string]bool) float64 {
 }
 
 // shapeSim is 1 − total-variation distance between shape distributions.
+// The distance is summed in sorted key order, so the result does not
+// depend on map iteration order, and the result is clamped at 0 against
+// rounding (disjoint distributions can sum to just over 2).
 func shapeSim(a, b map[string]float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	keys := map[string]bool{}
+	keys := make([]string, 0, len(a)+len(b))
 	for k := range a {
-		keys[k] = true
+		keys = append(keys, k)
 	}
 	for k := range b {
-		keys[k] = true
-	}
-	dist := 0.0
-	for k := range keys {
-		d := a[k] - b[k]
-		if d < 0 {
-			d = -d
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
 		}
-		dist += d
 	}
-	return 1 - dist/2
+	sort.Strings(keys)
+	dist := 0.0
+	for _, k := range keys {
+		dist += math.Abs(a[k] - b[k])
+	}
+	return max(1-dist/2, 0)
 }
 
 // CostFor converts a matcher confidence into a source-graph edge cost:

@@ -171,3 +171,23 @@ func TestConfidenceBoundsProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestShapeSimDeterministicAndClamped: disjoint shape distributions whose
+// masses do not sum exactly to 1 in floating point score exactly 0 on
+// every call, whatever order the maps iterate in.
+func TestShapeSimDeterministicAndClamped(t *testing.T) {
+	a := map[string]float64{"Aa": 0.1, "A a": 0.2, "9-9": 0.7, "a.": 1.0 / 3}
+	b := map[string]float64{"9": 0.3, "Aa9": 0.3, "a a a": 0.4, "A": 2.0 / 3}
+	first := shapeSim(a, b)
+	if first < 0 || first > 1 {
+		t.Fatalf("shapeSim = %v, want within [0, 1]", first)
+	}
+	for i := 0; i < 200; i++ {
+		if got := shapeSim(a, b); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("shapeSim varies between calls: %v then %v", first, got)
+		}
+	}
+	if s := shapeSim(a, a); s != 1 {
+		t.Errorf("shapeSim of a distribution with itself = %v, want 1", s)
+	}
+}

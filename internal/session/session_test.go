@@ -300,6 +300,31 @@ func TestReloadPreservesPlanCacheCounters(t *testing.T) {
 	}
 }
 
+// TestAdmissionIgnoresEarlySlowRefresh: one slow refresh among the first
+// few after boot does not shed Create; a sustained burn still does.
+func TestAdmissionIgnoresEarlySlowRefresh(t *testing.T) {
+	w := testWorld()
+	clock := resilience.NewVirtualClock()
+	slo := obs.NewSLOTracker(obs.DefaultSLOConfig(), clock.Now)
+	m := session.NewManager(session.Config{Factory: demoFactory(w), Clock: clock, SLO: slo})
+
+	slo.Observe(200 * time.Millisecond)
+	for i := 0; i < 4; i++ {
+		slo.Observe(2 * time.Millisecond)
+	}
+	if s, err := m.Create("early"); err != nil {
+		t.Fatalf("Create after one slow refresh in five: %v", err)
+	} else {
+		s.Release()
+	}
+	for i := 0; i < 50; i++ {
+		slo.Observe(200 * time.Millisecond)
+	}
+	if _, err := m.Create("shed"); !errors.Is(err, session.ErrOverloaded) {
+		t.Fatalf("Create under sustained burn = %v, want ErrOverloaded", err)
+	}
+}
+
 // TestAdmissionShedsOnFastBurn drives the host SLO tracker on a virtual
 // clock: when the fast-burn alert fires, Create sheds with
 // ErrOverloaded; once the burn window ages out, admission reopens.
