@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race bench bench-check obs-smoke serve-smoke serve-bench sessions-smoke durability-smoke incident-smoke check
+.PHONY: all build vet test test-race loopbench-check bench bench-check obs-smoke serve-smoke serve-bench sessions-smoke durability-smoke incident-smoke check
 
 all: check
 
@@ -166,5 +166,11 @@ bench-check:
 	$(GO) run ./cmd/scpbench -exp scale -baseline BENCH_9.json -bench-out BENCH_9.json
 	$(GO) run ./cmd/scpbench -exp flight -overhead-budget 0.02 -bench-out BENCH_10.json
 
+# The benchmark module (loopbench/, its own go.mod) is outside the root
+# module's ./..., so vet and test it separately: a change to an API it
+# calls then fails here rather than only when the benchmark runs.
+loopbench-check:
+	cd loopbench && $(GO) vet ./... && $(GO) test ./...
+
 # Tier-1 gate: everything a PR must keep green.
-check: build vet test test-race
+check: build vet test test-race loopbench-check

@@ -103,14 +103,9 @@ func BenchmarkColumnCompletionTraced(b *testing.B) {
 		if len(comps) == 0 {
 			b.Fatal("no completions")
 		}
-		// Keep the span buffer from growing without bound across b.N.
-		if sys.Workspace.Trace().Len() > 1<<16 {
-			b.StopTimer()
-			sys.Workspace.Trace().Reset()
-			b.StartTimer()
-		}
 	}
-	b.ReportMetric(float64(sys.Workspace.Trace().Len())/float64(b.N), "spans/op")
+	tr := sys.Workspace.Trace() // bounded: ended spans = retained + overwritten
+	b.ReportMetric(float64(int64(tr.Len())+tr.Overwritten())/float64(b.N), "spans/op")
 }
 
 // BenchmarkKeystrokeSavings is E1: the full demo session; the savings
@@ -312,7 +307,7 @@ func BenchmarkQueryEngine(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(join)
+		res, err := join.Execute(engine.Background())
 		if err != nil || len(res.Rows) == 0 {
 			b.Fatal("join failed")
 		}

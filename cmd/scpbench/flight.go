@@ -32,11 +32,12 @@ type flightReport struct {
 // expFlight is the flight-recorder experiment: on one warmed, traced
 // session it compares the cold suggestion-refresh loop with the
 // always-on recorder detached against the same loop with the recorder
-// attached (observing every span, decision entry, and metric snapshot),
+// attached (pacing metric snapshots on every span and decision entry;
+// the span ring and decision log it reads at capture fill in both arms),
 // to bound the "always-on" cost. Honors -json, -bench-out, and
-// -overhead-budget; the ISSUE budget is 2%.
+// -overhead-budget; the budget is 2%.
 func expFlight() error {
-	sys, err := pipelineSetup(true) // traced, so spans flow into the recorder
+	sys, err := pipelineSetup(true) // traced, so spans reach the span ring
 	if err != nil {
 		return err
 	}

@@ -147,9 +147,10 @@ type (
 	// QualityReport is the /quality response body: host-level
 	// QualityStats plus a per-tenant breakdown on hosted installations.
 	QualityReport = serve.QualityReport
-	// IncidentRecorder is the always-on flight recorder: it retains the
-	// recent spans, decisions, metric snapshots, and lifecycle events,
-	// and captures self-contained incident bundles when a trigger rule
+	// IncidentRecorder is the always-on flight recorder: it keeps recent
+	// lifecycle events and metric snapshots, reads recent spans and
+	// decisions from the session's rings, and captures self-contained
+	// incident bundles when a trigger rule
 	// (SLO fast-burn, breaker open, eviction failure, refine failure,
 	// store quarantine, SIGQUIT) fires.
 	IncidentRecorder = flight.Recorder

@@ -95,7 +95,7 @@ func buildBiologyGraph() (*intlearn.Learner, []string) {
 
 // topRoute reports which hub the top query for a gene routes through.
 func topRoute(l *intlearn.Learner, gene string) string {
-	qs, err := l.TopQueries([]string{gene, "Publications"}, 1)
+	qs, err := l.TopQueriesCtx(nil, []string{gene, "Publications"}, 1)
 	if err != nil || len(qs) == 0 {
 		return "?"
 	}
@@ -110,7 +110,7 @@ func topRoute(l *intlearn.Learner, gene string) string {
 // acceptCurated gives one feedback item: the curated route is accepted
 // over the alternatives among the top queries for the gene.
 func acceptCurated(l *intlearn.Learner, gene string) (int, error) {
-	qs, err := l.TopQueries([]string{gene, "Publications"}, 2)
+	qs, err := l.TopQueriesCtx(nil, []string{gene, "Publications"}, 2)
 	if err != nil {
 		return 0, err
 	}

@@ -144,8 +144,10 @@ func TestFlightRecorderCapturesBreakerIncident(t *testing.T) {
 }
 
 // TestFlightRecorderDetachIsInert is the overhead experiment's control
-// arm: SetFlight(nil) detaches the recorder, every feed no-ops, and
-// re-attaching resumes recording.
+// arm: SetFlight(nil) detaches the recorder, so the workspace's
+// lifecycle events and triggers reach no recorder, and re-attaching
+// resumes them. Spans and decisions stay in the workspace's own rings
+// either way, and a capture after re-attaching reads them there.
 func TestFlightRecorderDetachIsInert(t *testing.T) {
 	sys := NewDemoSystem(DefaultWorldConfig())
 	sys.EnableTracing()
@@ -157,8 +159,12 @@ func TestFlightRecorderDetachIsInert(t *testing.T) {
 	if got := sys.FlightRecorder(); got != nil {
 		t.Fatal("detach should leave no recorder on the workspace")
 	}
-	// Triggers through the breaker wiring hit the nil recorder and no-op.
-	_, _, spansBefore := rec.Retained()
+	// A background refine failure reports through the workspace's hook,
+	// which now hits the nil recorder and no-ops.
+	ws.Int.RefineFailHook("refine failed while detached")
+	if events, _, _ := rec.Retained(); events != 0 || rec.Captured() != 0 {
+		t.Fatalf("detached recorder still received events=%d captures=%d", events, rec.Captured())
+	}
 	browser := sys.OpenBrowser(sys.ShelterSite(StyleTable))
 	s0 := sys.World.Shelters[0]
 	sel, err := browser.CopyRows([][]string{{s0.Name, s0.Street, s0.City}})
@@ -168,22 +174,23 @@ func TestFlightRecorderDetachIsInert(t *testing.T) {
 	if err := ws.Paste(sel); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, got := rec.Retained(); got != spansBefore {
-		t.Errorf("detached recorder still received spans (%d -> %d)", spansBefore, got)
-	}
-
-	ws.SetFlight(rec)
 	if err := ws.AcceptRows(); err != nil {
 		t.Fatal(err)
 	}
 	ws.SetMode(ModeIntegration)
 	ws.RefreshColumnSuggestions()
-	if _, _, got := rec.Retained(); got <= spansBefore {
-		t.Error("re-attached recorder should resume receiving spans")
+
+	ws.SetFlight(rec)
+	ws.Int.RefineFailHook("refine failed while attached")
+	if events, _, _ := rec.Retained(); events != 1 || rec.Captured() != 1 {
+		t.Fatalf("re-attached recorder should resume: events=%d captures=%d", events, rec.Captured())
 	}
-	_, _, decisions := rec.Retained()
-	if decisions == 0 {
-		t.Error("re-attached recorder should receive decision entries")
+	inc, ok := rec.Incident(rec.Incidents()[0].ID)
+	if !ok {
+		t.Fatal("captured incident should be retrievable")
+	}
+	if len(inc.Spans) == 0 || len(inc.Decisions) == 0 {
+		t.Errorf("bundle should read the workspace's rings: spans=%d decisions=%d", len(inc.Spans), len(inc.Decisions))
 	}
 }
 

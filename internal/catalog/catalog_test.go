@@ -42,7 +42,7 @@ func TestAddRelationAndGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(plan)
+	res, err := plan.Execute(engine.Background())
 	if err != nil || len(res.Rows) != 1 {
 		t.Error("scan failed")
 	}

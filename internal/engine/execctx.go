@@ -348,13 +348,8 @@ func NewExecCtx(ctx context.Context, opts ...ExecOption) *ExecCtx {
 }
 
 // Background returns an ExecCtx with no deadline, no budget, and a fresh
-// stats block — the compat path for call sites that have not migrated.
+// stats block.
 func Background() *ExecCtx { return NewExecCtx(context.Background()) }
-
-// Run executes a plan under a background ExecCtx. It is the incremental
-// migration helper for the Execute() → Execute(*ExecCtx) interface
-// change: old call sites become engine.Run(p).
-func Run(p Plan) (*Result, error) { return p.Execute(Background()) }
 
 // orBackground upgrades a nil receiver so operators never nil-check.
 func (ec *ExecCtx) orBackground() *ExecCtx {

@@ -132,7 +132,7 @@ func TestRowBudget(t *testing.T) {
 }
 
 func TestRunCompatHelper(t *testing.T) {
-	res, err := Run(NewScan(shelters()))
+	res, err := NewScan(shelters()).Execute(Background())
 	if err != nil || len(res.Rows) == 0 {
 		t.Fatalf("Run failed: %v", err)
 	}

@@ -64,8 +64,7 @@ type Plan interface {
 	// Execute evaluates the plan under an execution context, producing
 	// annotated rows. Operators honor the context's deadline/cancellation
 	// and row budget, and tally per-operator counters into its Stats. A
-	// nil context is upgraded to Background; old call sites can use the
-	// engine.Run compat helper.
+	// nil context is upgraded to Background.
 	Execute(ec *ExecCtx) (*Result, error)
 	// String renders a one-line description of the operator tree.
 	String() string

@@ -30,7 +30,7 @@ func BenchmarkRecordLinkJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.Run(rl)
+		res, err := rl.Execute(engine.Background())
 		if err != nil || len(res.Rows) == 0 {
 			b.Fatalf("link join: %d rows, %v", len(res.Rows), err)
 		}

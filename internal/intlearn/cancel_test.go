@@ -59,12 +59,12 @@ func TestColumnCompletionsParallelMatchesSerial(t *testing.T) {
 	// The compat entry point (parallel pool under the hood) must produce
 	// the same ranked candidates on every run — determinism is part of
 	// the suggestion UI contract.
-	first := l.ColumnCompletions(base, []string{"Shelters"})
+	first := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	if len(first) == 0 {
 		t.Fatal("no completions")
 	}
 	for run := 0; run < 3; run++ {
-		again := l.ColumnCompletions(base, []string{"Shelters"})
+		again := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 		if len(again) != len(first) {
 			t.Fatalf("run %d: %d completions, want %d", run, len(again), len(first))
 		}

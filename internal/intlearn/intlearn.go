@@ -361,22 +361,17 @@ func copyResult(r *engine.Result) *engine.Result {
 
 // ---------------------------------------------------------------- column completions
 
-// ColumnCompletions proposes auto-completions for the current query: every
-// suggestable association from its nodes to a source not yet in the
-// query, compiled and executed (§4.2's first mode; Figure 2's Zip column).
-// Results come back best (cheapest) first. Compat wrapper over
-// ColumnCompletionsCtx with a background execution context.
-func (l *Learner) ColumnCompletions(base engine.Plan, baseNodes []string) []Completion {
-	return l.ColumnCompletionsCtx(engine.Background(), base, baseNodes)
-}
-
-// ColumnCompletionsCtx is ColumnCompletions under an execution context.
-// Candidate plans are gathered serially (compilation is cheap) and then
-// executed concurrently by a bounded worker pool sharing ec — its
-// deadline, row budget, service cache, and stats. Candidates that error,
-// return no rows, or are cut off by cancellation are dropped; the
-// survivors sort deterministically by (cost, edge id), so parallel and
-// serial execution produce identical suggestion lists.
+// ColumnCompletionsCtx proposes auto-completions for the current query
+// under an execution context (nil means background): every suggestable
+// association from its nodes to a source not yet in the query, compiled
+// and executed (§4.2's first mode; Figure 2's Zip column). Results come
+// back best (cheapest) first. Candidate plans are gathered serially
+// (compilation is cheap) and then executed concurrently by a bounded
+// worker pool sharing ec — its deadline, row budget, service cache, and
+// stats. Candidates that error, return no rows, or are cut off by
+// cancellation are dropped; the survivors sort deterministically by
+// (cost, edge id), so parallel and serial execution produce identical
+// suggestion lists.
 func (l *Learner) ColumnCompletionsCtx(ec *engine.ExecCtx, base engine.Plan, baseNodes []string) []Completion {
 	if ec == nil {
 		ec = engine.Background()
@@ -665,20 +660,14 @@ func (l *Learner) steinerGraphLocked() (*steiner.Graph, *steinerIndex) {
 	return l.steinG, l.steinIx
 }
 
-// TopQueries explains a set of terminal sources (the sources whose
+// TopQueriesCtx explains a set of terminal sources (the sources whose
 // attributes appear in user-pasted tuples) as the k best Steiner-tree
-// queries (§4.2's second mode). Small graphs use the exact solver; large
-// ones the SPCSH approximation with pruning. Compat wrapper over
-// TopQueriesCtx with a background execution context.
-func (l *Learner) TopQueries(terminals []string, k int) ([]*Query, error) {
-	return l.TopQueriesCtx(engine.Background(), terminals, k)
-}
-
-// TopQueriesCtx is TopQueries under an execution context: the Steiner
-// search (branch-and-bound and Lawler partitioning) honors the context's
-// deadline/cancellation, Lawler subproblems run concurrently, and the
-// branches pruned during enumeration are tallied into
-// ec.Stats().TreesPruned.
+// queries (§4.2's second mode) under an execution context (nil means
+// background). Small graphs use the exact solver; large ones the SPCSH
+// approximation with pruning. The Steiner search (branch-and-bound and
+// Lawler partitioning) honors the context's deadline/cancellation,
+// Lawler subproblems run concurrently, and the branches pruned during
+// enumeration are tallied into ec.Stats().TreesPruned.
 func (l *Learner) TopQueriesCtx(ec *engine.ExecCtx, terminals []string, k int) ([]*Query, error) {
 	if ec == nil {
 		ec = engine.Background()

@@ -54,14 +54,14 @@ func setup(t *testing.T) (*Learner, *webworld.World) {
 func workspaceValues(l *Learner) *engine.Values {
 	src := l.Graph.Catalog().Get("Shelters")
 	scan, _ := src.Scan()
-	res, _ := engine.Run(scan)
+	res, _ := scan.Execute(engine.Background())
 	return &engine.Values{Name: "Workspace", Schema_: src.Schema.Clone(), Rows: res.Rows}
 }
 
 func TestColumnCompletionsFigure2(t *testing.T) {
 	l, w := setup(t)
 	base := workspaceValues(l)
-	comps := l.ColumnCompletions(base, []string{"Shelters"})
+	comps := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	if len(comps) == 0 {
 		t.Fatal("no completions")
 	}
@@ -123,7 +123,7 @@ func targets(comps []Completion) []string {
 func TestRecordLinkCompletionFindsContacts(t *testing.T) {
 	l, w := setup(t)
 	base := workspaceValues(l)
-	comps := l.ColumnCompletions(base, []string{"Shelters"})
+	comps := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	var con *Completion
 	for i := range comps {
 		if comps[i].Target == "Contacts" && comps[i].Edge.Kind == sourcegraph.KindRecordLink {
@@ -162,7 +162,7 @@ func TestTopQueriesSteiner(t *testing.T) {
 	l, _ := setup(t)
 	// Terminals: the user pasted attributes originating from Shelters and
 	// Contacts — the learner must find connecting queries.
-	qs, err := l.TopQueries([]string{"Shelters", "Contacts"}, 3)
+	qs, err := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTopQueriesSteiner(t *testing.T) {
 			t.Error("queries not cost-ordered")
 		}
 	}
-	if _, err := l.TopQueries([]string{"Shelters", "NoSuchSource"}, 2); err == nil {
+	if _, err := l.TopQueriesCtx(nil, []string{"Shelters", "NoSuchSource"}, 2); err == nil {
 		t.Error("unknown terminal should error")
 	}
 	if !strings.Contains(best.String(), "Shelters") {
@@ -202,7 +202,7 @@ func TestTopQueriesSteiner(t *testing.T) {
 
 func TestCompileQueryExecutes(t *testing.T) {
 	l, w := setup(t)
-	qs, err := l.TopQueries([]string{"Shelters", "Contacts"}, 2)
+	qs, err := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 2)
 	if err != nil || len(qs) == 0 {
 		t.Fatal("no queries")
 	}
@@ -210,7 +210,7 @@ func TestCompileQueryExecutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(plan)
+	res, err := plan.Execute(engine.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestCompileQueryErrors(t *testing.T) {
 func TestAcceptCompletionRerank(t *testing.T) {
 	l, _ := setup(t)
 	base := workspaceValues(l)
-	comps := l.ColumnCompletions(base, []string{"Shelters"})
+	comps := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	if len(comps) < 2 {
 		t.Fatal("need ≥2 completions")
 	}
@@ -255,7 +255,7 @@ func TestAcceptCompletionRerank(t *testing.T) {
 	// afterwards — the "one item of feedback" claim (E2).
 	chosen := comps[len(comps)-1]
 	l.AcceptCompletion(chosen, comps[:len(comps)-1])
-	after := l.ColumnCompletions(base, []string{"Shelters"})
+	after := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	if len(after) == 0 {
 		t.Fatal("completions vanished")
 	}
@@ -267,13 +267,13 @@ func TestAcceptCompletionRerank(t *testing.T) {
 func TestRejectCompletionSuppresses(t *testing.T) {
 	l, _ := setup(t)
 	base := workspaceValues(l)
-	comps := l.ColumnCompletions(base, []string{"Shelters"})
+	comps := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	if len(comps) == 0 {
 		t.Fatal("no completions")
 	}
 	victim := comps[0]
 	l.RejectCompletion(victim)
-	after := l.ColumnCompletions(base, []string{"Shelters"})
+	after := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	for _, c := range after {
 		if c.Edge.ID == victim.Edge.ID {
 			t.Error("rejected completion still suggested")
@@ -287,7 +287,7 @@ func TestRejectCompletionSuppresses(t *testing.T) {
 
 func TestAcceptQueryAndRejectQuery(t *testing.T) {
 	l, _ := setup(t)
-	qs, err := l.TopQueries([]string{"Shelters", "Contacts"}, 3)
+	qs, err := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 3)
 	if err != nil || len(qs) < 2 {
 		t.Skip("need ≥2 queries for reranking")
 	}
@@ -295,7 +295,7 @@ func TestAcceptQueryAndRejectQuery(t *testing.T) {
 	// query must outrank the alternative the user rejected it against
 	// (other, never-displayed queries may still tie elsewhere).
 	l.AcceptQuery(qs[1], []*Query{qs[0]})
-	after, _ := l.TopQueries([]string{"Shelters", "Contacts"}, 10)
+	after, _ := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 10)
 	if len(after) == 0 {
 		t.Fatal("queries vanished")
 	}
@@ -312,7 +312,7 @@ func TestAcceptQueryAndRejectQuery(t *testing.T) {
 	}
 	// Reject it; it should sink.
 	l.RejectQuery(qs[1])
-	final, _ := l.TopQueries([]string{"Shelters", "Contacts"}, 1)
+	final, _ := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 1)
 	if len(final) > 0 && key(final[0]) == key(qs[1]) {
 		t.Error("rejected query still ranked first")
 	}
@@ -326,7 +326,7 @@ func TestExtendPlanSemTypeFallback(t *testing.T) {
 	// learned semantic types.
 	src := l.Graph.Catalog().Get("Shelters")
 	scan, _ := src.Scan()
-	res, _ := engine.Run(scan)
+	res, _ := scan.Execute(engine.Background())
 	schema := table.Schema{
 		{Name: "ShelterName", Kind: table.KindString, SemType: modellearn.TypeOrgName},
 		{Name: "Addr", Kind: table.KindString, SemType: modellearn.TypeStreet},
@@ -349,7 +349,7 @@ func TestExtendPlanSemTypeFallback(t *testing.T) {
 	if len(newCols) != 1 || newCols[0].Name != "Zip" {
 		t.Errorf("new cols = %v", newCols)
 	}
-	res2, err := engine.Run(plan)
+	res2, err := plan.Execute(engine.Background())
 	if err != nil || len(res2.Rows) == 0 {
 		t.Errorf("renamed-workspace dependent join failed: %v", err)
 	}
@@ -363,7 +363,7 @@ func TestExtendPlanSemTypeFallback(t *testing.T) {
 func TestSteinerSwitchesToApproxOnLargeGraphs(t *testing.T) {
 	l, _ := setup(t)
 	l.MaxExactNodes = 1 // force the approximate path
-	qs, err := l.TopQueries([]string{"Shelters", "Contacts"}, 2)
+	qs, err := l.TopQueriesCtx(nil, []string{"Shelters", "Contacts"}, 2)
 	if err != nil || len(qs) == 0 {
 		t.Fatalf("approx path failed: %v", err)
 	}
@@ -398,7 +398,7 @@ func TestCompileChainedServiceComposition(t *testing.T) {
 	g.Discover(sourcegraph.DefaultOptions())
 	l := New(g)
 
-	qs, err := l.TopQueries([]string{"NamesOnly", "Zipcode Resolver"}, 2)
+	qs, err := l.TopQueriesCtx(nil, []string{"NamesOnly", "Zipcode Resolver"}, 2)
 	if err != nil || len(qs) == 0 {
 		t.Fatalf("no chained queries: %v", err)
 	}
@@ -417,7 +417,7 @@ func TestCompileChainedServiceComposition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := engine.Run(plan)
+	res, err := plan.Execute(engine.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -470,7 +470,7 @@ func TestReplacementsForDownService(t *testing.T) {
 	}
 	// The replacement actually works as a completion target.
 	base := workspaceValues(l)
-	comps := l.ColumnCompletions(base, []string{"Shelters"})
+	comps := l.ColumnCompletionsCtx(nil, base, []string{"Shelters"})
 	found := false
 	for _, c := range comps {
 		if c.Target == "Backup Zip Service" && len(c.Result.Rows) > 0 {

@@ -53,7 +53,7 @@ func TestHybridTierRefinesIntoPlanCache(t *testing.T) {
 
 	cache := plancache.New(64)
 	reg := obs.NewRegistry()
-	dec := obs.NewDecisionLog()
+	dec := obs.NewDecisionLog(0, nil)
 	ec := engine.NewExecCtx(context.Background(),
 		engine.WithPlanCache(cache), engine.WithMetrics(reg), engine.WithDecisions(dec))
 
@@ -94,7 +94,7 @@ func TestHybridTierRefinesIntoPlanCache(t *testing.T) {
 	}
 
 	exact, _ := setup(t) // defaults: exact tier on the demo graph
-	want, err := exact.TopQueries(terminals, 3)
+	want, err := exact.TopQueriesCtx(nil, terminals, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"time"
 )
 
 // Action classifies what happened to a candidate at some pipeline stage.
@@ -56,23 +57,33 @@ func (d Decision) String() string {
 	return b.String()
 }
 
-// maxDecisions bounds the log; the oldest half is discarded on
-// overflow, so a long session keeps recent explanations.
+// maxDecisions is a log's default bound: the oldest decision is
+// overwritten once it is full, so a long session keeps recent
+// explanations.
 const maxDecisions = 4096
 
-// DecisionLog records candidate decisions across the session. Safe for
-// concurrent use (the parallel candidate executor records into one
-// shared log). A nil *DecisionLog is inert.
+// DecisionLog records candidate decisions across the session in a
+// bounded Ring. Safe for concurrent use (the parallel candidate
+// executor records into one shared log). A nil *DecisionLog is inert.
 type DecisionLog struct {
-	mu      sync.Mutex
-	next    int
+	ring    *Ring[Decision]
+	mu      sync.Mutex // guards session and sink
 	session string
-	ds      []Decision
 	sink    func(Decision)
 }
 
-// NewDecisionLog creates an empty log.
-func NewDecisionLog() *DecisionLog { return &DecisionLog{} }
+// NewDecisionLog creates an empty log of the newest `size` decisions
+// (4096 when size < 1), stamping arrivals on the now clock (the flight
+// recorder's retention window reads them).
+func NewDecisionLog(size int, now func() time.Time) *DecisionLog {
+	if size < 1 {
+		size = maxDecisions
+	}
+	return &DecisionLog{ring: NewRing(size, now, func(d Decision, seq, _ int64) Decision {
+		d.Seq = int(seq)
+		return d
+	})}
+}
 
 // SetSession stamps every subsequently recorded decision with the
 // owning session's ID, attributing multi-tenant decision streams. The
@@ -87,8 +98,8 @@ func (l *DecisionLog) SetSession(id string) {
 }
 
 // SetSink installs a live observer called with every recorded decision
-// after it is stamped (the flight recorder's feed). The sink runs
-// outside the log's lock; nil removes it.
+// after it is stamped (a recorder's pacing, or a host's decision log).
+// The sink runs outside the log's locks; nil removes it.
 func (l *DecisionLog) SetSink(fn func(Decision)) {
 	if l == nil {
 		return
@@ -105,17 +116,12 @@ func (l *DecisionLog) Record(d Decision) {
 		return
 	}
 	l.mu.Lock()
-	l.next++
-	d.Seq = l.next
 	if d.Session == "" {
 		d.Session = l.session
 	}
-	l.ds = append(l.ds, d)
-	if len(l.ds) > maxDecisions {
-		l.ds = append(l.ds[:0:0], l.ds[len(l.ds)/2:]...)
-	}
 	sink := l.sink
 	l.mu.Unlock()
+	d = l.ring.publish(d)
 	if sink != nil {
 		sink(d)
 	}
@@ -126,9 +132,7 @@ func (l *DecisionLog) Decisions() []Decision {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Decision(nil), l.ds...)
+	return l.ring.Values()
 }
 
 // For returns the decisions whose candidate contains the given
@@ -139,10 +143,8 @@ func (l *DecisionLog) For(candidate string) []Decision {
 		return nil
 	}
 	needle := strings.ToLower(candidate)
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	var out []Decision
-	for _, d := range l.ds {
+	for _, d := range l.ring.Values() {
 		if strings.Contains(strings.ToLower(d.Candidate), needle) {
 			out = append(out, d)
 		}
@@ -150,22 +152,25 @@ func (l *DecisionLog) For(candidate string) []Decision {
 	return out
 }
 
+// Ring exposes the log's storage (flight captures read its window).
+func (l *DecisionLog) Ring() *Ring[Decision] {
+	if l == nil {
+		return nil
+	}
+	return l.ring
+}
+
 // Len reports the number of retained decisions.
 func (l *DecisionLog) Len() int {
 	if l == nil {
 		return 0
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ds)
+	return l.ring.Len()
 }
 
-// Reset clears the log.
+// Reset clears the log; sequence numbers keep increasing.
 func (l *DecisionLog) Reset() {
-	if l == nil {
-		return
+	if l != nil {
+		l.ring.Reset()
 	}
-	l.mu.Lock()
-	l.ds = nil
-	l.mu.Unlock()
 }

@@ -1,10 +1,11 @@
 // Package flight is CopyCat's flight recorder: an always-on, bounded,
-// low-overhead recorder that continuously retains the recent past —
-// spans, decision-log entries, periodic metric snapshots, and lifecycle
-// events (breaker transitions, eviction attempts and failures,
-// solver-tier picks, refine failures, store quarantines, admission
-// sheds) — so that when something goes wrong the causal context is
-// still there to explain it.
+// low-overhead recorder of the recent past, so that when something goes
+// wrong the causal context is still there to explain it. It keeps its
+// own ring of lifecycle events (breaker transitions, eviction attempts
+// and failures, refine failures, store quarantines, admission sheds)
+// and periodic metric snapshots; spans and decision-log entries stay in
+// the obs rings they are already published to (the span ring and
+// decision log it is attached to), and a capture reads them there.
 //
 // Trigger rules (SLO fast-burn, breaker open, eviction failure, refine
 // failure, store quarantine, SIGQUIT) capture a self-contained JSON
@@ -95,48 +96,6 @@ type DecisionRecord struct {
 	Decision obs.Decision `json:"decision"`
 }
 
-// snapRecord is one periodic metric snapshot.
-type snapRecord struct {
-	at   time.Time
-	snap obs.Snapshot
-}
-
-// ring is a fixed-capacity circular buffer. Once the backing array is
-// full, every push overwrites the oldest entry in place — the steady
-// state of an always-on recorder allocates nothing, which is what keeps
-// the per-span feed off the GC (the previous drop-oldest-half scheme
-// re-allocated half the ring every overflow and dominated the
-// recorder's measured overhead). The backing array is allocated lazily
-// at first push, so the per-workspace recorders of hosted sessions
-// (which feed a shared manager recorder instead) stay at zero bytes.
-type ring[T any] struct {
-	max  int
-	buf  []T
-	head int // oldest entry once the buffer is full; 0 while filling
-}
-
-func (g *ring[T]) push(v T) {
-	if g.buf == nil {
-		g.buf = make([]T, 0, g.max)
-	}
-	if len(g.buf) < g.max {
-		g.buf = append(g.buf, v)
-		return
-	}
-	g.buf[g.head] = v
-	g.head = (g.head + 1) % g.max
-}
-
-func (g *ring[T]) len() int { return len(g.buf) }
-
-// ordered copies the retained entries oldest-first (capture path only).
-func (g *ring[T]) ordered() []T {
-	out := make([]T, 0, len(g.buf))
-	out = append(out, g.buf[g.head:]...)
-	out = append(out, g.buf[:g.head]...)
-	return out
-}
-
 // Config sizes and wires a Recorder. Zero fields take defaults.
 type Config struct {
 	// Retention bounds how far back a captured bundle's timeline
@@ -145,12 +104,9 @@ type Config struct {
 	// Cooldown is the per-trigger-kind minimum spacing between captures;
 	// triggers inside it are suppressed (and counted). Default 30s.
 	Cooldown time.Duration
-	// MaxEvents/MaxSpans/MaxDecisions cap the retained rings (circular:
-	// the oldest entry is overwritten on overflow). Defaults
-	// 512/2048/1024.
-	MaxEvents    int
-	MaxSpans     int
-	MaxDecisions int
+	// MaxEvents caps the lifecycle-event ring (the oldest entry is
+	// overwritten on overflow). Default 512.
+	MaxEvents int
 	// SnapshotEvery paces the periodic metric snapshots that become a
 	// bundle's "pre" state. Default 5s.
 	SnapshotEvery time.Duration
@@ -178,14 +134,18 @@ const (
 	DefaultRetention     = 60 * time.Second
 	DefaultCooldown      = 30 * time.Second
 	DefaultMaxEvents     = 512
-	DefaultMaxSpans      = 2048
-	DefaultMaxDecisions  = 1024
 	DefaultSnapshotEvery = 5 * time.Second
 	DefaultMaxIncidents  = 16
 )
 
-// maxSnaps bounds the periodic-snapshot ring.
-const maxSnaps = 16
+// maxSnaps bounds the periodic-snapshot ring; maxBundleSpans and
+// maxBundleDecisions cap how many of the newest spans and decisions in
+// the retention window one bundle carries.
+const (
+	maxSnaps           = 16
+	maxBundleSpans     = 2048
+	maxBundleDecisions = 1024
+)
 
 func (c Config) withDefaults() Config {
 	if c.Retention <= 0 {
@@ -196,12 +156,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEvents <= 0 {
 		c.MaxEvents = DefaultMaxEvents
-	}
-	if c.MaxSpans <= 0 {
-		c.MaxSpans = DefaultMaxSpans
-	}
-	if c.MaxDecisions <= 0 {
-		c.MaxDecisions = DefaultMaxDecisions
 	}
 	if c.SnapshotEvery <= 0 {
 		c.SnapshotEvery = DefaultSnapshotEvery
@@ -252,7 +206,7 @@ type Incident struct {
 	Post          obs.Snapshot     `json:"post"`
 	CounterDeltas map[string]int64 `json:"counter_deltas,omitempty"`
 	// The retained timeline, oldest first, bounded by the retention
-	// window and the ring caps.
+	// window and the per-bundle caps.
 	Events    []Event          `json:"events,omitempty"`
 	Spans     []SpanRecord     `json:"spans,omitempty"`
 	Decisions []DecisionRecord `json:"decisions,omitempty"`
@@ -280,17 +234,17 @@ type Summary struct {
 // *Recorder is inert (every method no-ops), so observers can be wired
 // unconditionally and detached by wiring nil.
 type Recorder struct {
-	mu          sync.Mutex
-	cfg         Config
-	seq         int64
+	cfg       Config
+	events    *obs.Ring[Event]
+	snaps     *obs.Ring[obs.Snapshot] // periodic metric snapshots
+	incidents *obs.Ring[*Incident]
+
+	mu          sync.Mutex // guards the fields below and cfg.Dir/Cooldown
 	nextID      int64
-	events      ring[Event]
-	spans       ring[SpanRecord]
-	decisions   ring[DecisionRecord]
-	snaps       []snapRecord
+	spans       *obs.SpanRing    // attached: read at capture
+	decisions   *obs.DecisionLog // attached: read at capture
 	lastSnap    time.Time
 	lastTrigger map[string]time.Time
-	incidents   []*Incident
 
 	captured   *obs.Counter
 	suppressed *obs.Counter
@@ -304,15 +258,30 @@ type Recorder struct {
 func New(cfg Config) *Recorder {
 	cfg = cfg.withDefaults()
 	return &Recorder{
-		cfg:         cfg,
-		events:      ring[Event]{max: cfg.MaxEvents},
-		spans:       ring[SpanRecord]{max: cfg.MaxSpans},
-		decisions:   ring[DecisionRecord]{max: cfg.MaxDecisions},
+		cfg: cfg,
+		events: obs.NewRing(cfg.MaxEvents, cfg.Clock, func(e Event, seq, atNs int64) Event {
+			e.Seq, e.AtNs = seq, atNs
+			return e
+		}),
+		snaps:       obs.NewRing[obs.Snapshot](maxSnaps, cfg.Clock, nil),
+		incidents:   obs.NewRing[*Incident](cfg.MaxIncidents, nil, nil),
 		lastTrigger: map[string]time.Time{},
 		captured:    cfg.Registry.Counter("incidents.captured"),
 		suppressed:  cfg.Registry.Counter("incidents.suppressed"),
 		stored:      cfg.Registry.Gauge("incidents.stored"),
 	}
+}
+
+// Attach points the recorder at the rings its captures read spans and
+// decisions from: a standalone workspace's own, or a host's shared
+// ones. Either may be nil.
+func (r *Recorder) Attach(spans *obs.SpanRing, decisions *obs.DecisionLog) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.spans, r.decisions = spans, decisions
+	r.mu.Unlock()
 }
 
 func (r *Recorder) now() time.Time { return r.cfg.Clock() }
@@ -343,61 +312,36 @@ func (r *Recorder) RecordEvent(kind, session, tenant, detail string) {
 	if r == nil {
 		return
 	}
-	now := r.now()
-	r.mu.Lock()
-	r.seq++
-	r.events.push(Event{
-		Seq: r.seq, AtNs: now.UnixNano(),
-		Kind: kind, Session: session, Tenant: tenant, Detail: detail,
-	})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
+	r.events.Publish(Event{Kind: kind, Session: session, Tenant: tenant, Detail: detail})
+	r.pace()
+}
+
+// ObserveSpan paces the periodic metric snapshots on an ended span (the
+// trace sink calls it next to publishing into the span ring).
+func (r *Recorder) ObserveSpan(obs.SpanEvent) {
+	if r != nil {
+		r.pace()
 	}
 }
 
-// ObserveSpan retains one finished span (the trace sink fans ended
-// spans here alongside the live span ring).
-func (r *Recorder) ObserveSpan(ev obs.SpanEvent) {
-	if r == nil {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	r.spans.push(SpanRecord{AtNs: now.UnixNano(), Span: ev})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
+// ObserveDecision paces the periodic metric snapshots on a recorded
+// decision (the decision log's sink).
+func (r *Recorder) ObserveDecision(obs.Decision) {
+	if r != nil {
+		r.pace()
 	}
 }
 
-// ObserveDecision retains one decision-log entry (the decision log's
-// sink).
-func (r *Recorder) ObserveDecision(d obs.Decision) {
-	if r == nil {
-		return
-	}
-	now := r.now()
-	r.mu.Lock()
-	r.decisions.push(DecisionRecord{AtNs: now.UnixNano(), Decision: d})
-	due := r.snapshotDueLocked(now)
-	r.mu.Unlock()
-	if due {
-		r.takeSnapshot(now)
-	}
-}
-
-// snapshotDueLocked decides (under r.mu, on the observation's already
-// read clock) whether a periodic metric snapshot is due, and claims
-// the slot if so — the caller takes the snapshot after unlocking, so
-// the Metrics callback (which reads other subsystems' locks) never
-// runs under the recorder lock.
-func (r *Recorder) snapshotDueLocked(now time.Time) bool {
+// pace takes a periodic metric snapshot when one is due. The slot is
+// claimed under r.mu and the snapshot taken after unlocking, so the
+// Metrics callback (which reads other subsystems' locks) never runs
+// under the recorder lock.
+func (r *Recorder) pace() {
 	if r.cfg.Metrics == nil {
-		return false
+		return
 	}
+	now := r.now()
+	r.mu.Lock()
 	if !r.lastSnap.IsZero() && now.Before(r.lastSnap) {
 		// The clock moved backwards (a virtual clock was injected after
 		// construction): re-anchor rather than stall forever.
@@ -408,19 +352,10 @@ func (r *Recorder) snapshotDueLocked(now time.Time) bool {
 	if due {
 		r.lastSnap = now
 	}
-	return due
-}
-
-// takeSnapshot captures one periodic metric snapshot claimed by
-// snapshotDueLocked.
-func (r *Recorder) takeSnapshot(now time.Time) {
-	snap := r.cfg.Metrics()
-	r.mu.Lock()
-	r.snaps = append(r.snaps, snapRecord{at: now, snap: snap})
-	if len(r.snaps) > maxSnaps {
-		r.snaps = append(r.snaps[:0:0], r.snaps[1:]...)
-	}
 	r.mu.Unlock()
+	if due {
+		r.snaps.Publish(r.cfg.Metrics())
+	}
 }
 
 // Armed reports whether a trigger of this kind would capture right now
@@ -460,22 +395,29 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 		return "", false
 	}
 	r.lastTrigger[kind] = now
+	r.nextID++
+	id := fmt.Sprintf("inc-%06d-%s", r.nextID, sanitizeID(kind))
+	spanRing, decisionRing := r.spans, r.decisions.Ring()
+	dir, keep := r.cfg.Dir, r.cfg.MaxIncidents
+	r.mu.Unlock()
+
 	cutoff := now.Add(-r.cfg.Retention).UnixNano()
-	events := filterEvents(r.events.ordered(), cutoff)
-	spans := filterSpans(r.spans.ordered(), cutoff)
-	decisions := filterDecisions(r.decisions.ordered(), cutoff)
+	events := records(r.events.Window(cutoff, r.cfg.MaxEvents), func(_ int64, e Event) Event { return e })
+	spans := records(spanRing.Window(cutoff, maxBundleSpans), func(at int64, sp obs.SpanEvent) SpanRecord {
+		return SpanRecord{AtNs: at, Span: sp}
+	})
+	decisions := records(decisionRing.Window(cutoff, maxBundleDecisions), func(at int64, d obs.Decision) DecisionRecord {
+		return DecisionRecord{AtNs: at, Decision: d}
+	})
 	var pre obs.Snapshot
 	var preAge int64
-	for i := len(r.snaps) - 1; i >= 0; i-- {
-		if !r.snaps[i].at.After(now) {
-			pre = r.snaps[i].snap
-			preAge = now.Sub(r.snaps[i].at).Nanoseconds()
+	snaps := r.snaps.Window(0, maxSnaps)
+	for i := len(snaps) - 1; i >= 0; i-- {
+		if snaps[i].AtNs <= now.UnixNano() {
+			pre, preAge = snaps[i].V, now.UnixNano()-snaps[i].AtNs
 			break
 		}
 	}
-	r.nextID++
-	id := fmt.Sprintf("inc-%06d-%s", r.nextID, sanitizeID(kind))
-	r.mu.Unlock()
 
 	var post obs.Snapshot
 	if r.cfg.Metrics != nil {
@@ -495,16 +437,9 @@ func (r *Recorder) Trigger(kind, reason, session, tenant string) (string, bool) 
 	}
 	inc.Sessions, inc.Tenants = attribute(inc)
 
-	r.mu.Lock()
-	r.incidents = append(r.incidents, inc)
-	if len(r.incidents) > r.cfg.MaxIncidents {
-		r.incidents = append(r.incidents[:0:0], r.incidents[len(r.incidents)-r.cfg.MaxIncidents:]...)
-	}
-	n := len(r.incidents)
-	dir, keep := r.cfg.Dir, r.cfg.MaxIncidents
-	r.mu.Unlock()
+	r.incidents.Publish(inc)
 	r.captured.Inc()
-	r.stored.Set(float64(n))
+	r.stored.Set(float64(r.incidents.Len()))
 	if dir != "" {
 		// Best-effort: a full disk must not take the serving path down.
 		_ = writeBundle(dir, inc, keep)
@@ -517,11 +452,10 @@ func (r *Recorder) Incidents() []Summary {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Summary, 0, len(r.incidents))
-	for i := len(r.incidents) - 1; i >= 0; i-- {
-		inc := r.incidents[i]
+	incs := r.incidents.Values()
+	out := make([]Summary, 0, len(incs))
+	for i := len(incs) - 1; i >= 0; i-- {
+		inc := incs[i]
 		out = append(out, Summary{
 			ID: inc.ID, Trigger: inc.Trigger, Reason: inc.Reason,
 			Session: inc.Session, Tenant: inc.Tenant,
@@ -537,9 +471,7 @@ func (r *Recorder) Incident(id string) (*Incident, bool) {
 	if r == nil {
 		return nil, false
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, inc := range r.incidents {
+	for _, inc := range r.incidents.Values() {
 		if inc.ID == id {
 			return inc, true
 		}
@@ -563,46 +495,24 @@ func (r *Recorder) Suppressed() int64 {
 	return r.suppressed.Load()
 }
 
-// Retained reports the current ring occupancy (events, spans,
-// decisions) — the overhead experiment asserts the recorder actually
-// recorded something.
+// Retained reports the occupancy of the rings a capture reads (events,
+// spans, decisions).
 func (r *Recorder) Retained() (events, spans, decisions int) {
 	if r == nil {
 		return 0, 0, 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.events.len(), r.spans.len(), r.decisions.len()
+	return r.events.Len(), r.spans.Len(), r.decisions.Len()
 }
 
 // ---------------------------------------------------------------- capture helpers
 
-func filterEvents(evs []Event, cutoff int64) []Event {
-	out := make([]Event, 0, len(evs))
-	for _, e := range evs {
-		if e.AtNs >= cutoff {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func filterSpans(sps []SpanRecord, cutoff int64) []SpanRecord {
-	out := make([]SpanRecord, 0, len(sps))
-	for _, s := range sps {
-		if s.AtNs >= cutoff {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-func filterDecisions(ds []DecisionRecord, cutoff int64) []DecisionRecord {
-	out := make([]DecisionRecord, 0, len(ds))
-	for _, d := range ds {
-		if d.AtNs >= cutoff {
-			out = append(out, d)
-		}
+// records converts a ring window into bundle records, oldest first.
+func records[T, R any](es []obs.Entry[T], rec func(atNs int64, v T) R) []R {
+	out := make([]R, len(es))
+	for i, e := range es {
+		out[i] = rec(e.AtNs, e.V)
 	}
 	return out
 }

@@ -17,9 +17,20 @@ func (c *testClock) Now() time.Time          { return c.now }
 func (c *testClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 func (c *testClock) Set(t time.Time)         { c.now = t }
 func newTestClock() *testClock               { return &testClock{now: time.Unix(1_000_000, 0)} }
-func newTestRecorder(c *testClock, cfg Config) *Recorder {
+
+// testRecorder is a recorder attached to a span ring and a decision log
+// on the test clock, as a standalone workspace wires it.
+type testRecorder struct {
+	*Recorder
+	spans     *obs.SpanRing
+	decisions *obs.DecisionLog
+}
+
+func newTestRecorder(c *testClock, cfg Config) *testRecorder {
 	cfg.Clock = c.Now
-	return New(cfg)
+	r := &testRecorder{Recorder: New(cfg), spans: obs.NewSpanRing(0, c.Now), decisions: obs.NewDecisionLog(0, c.Now)}
+	r.Attach(r.spans, r.decisions)
+	return r
 }
 
 func TestNilRecorderIsInert(t *testing.T) {
@@ -100,12 +111,14 @@ func TestTimelineRetentionAndAttribution(t *testing.T) {
 	r := newTestRecorder(clk, Config{Retention: 60 * time.Second})
 	// Old data outside the retention window must not appear.
 	r.RecordEvent(EventEvict, "old-session", "old-tenant", "too old")
+	r.spans.Publish(obs.SpanEvent{Name: "old"})
+	r.decisions.Record(obs.Decision{Session: "old-session", Candidate: "old"})
 	clk.Advance(2 * time.Minute)
 	r.RecordEvent(EventBreaker, "s1", "", "geocoder: closed -> open")
-	r.ObserveSpan(obs.SpanEvent{Seq: 1, Name: "stage.execute", DurNs: 1500, Attrs: []obs.Attr{
+	r.spans.Publish(obs.SpanEvent{Name: "stage.execute", DurNs: 1500, Attrs: []obs.Attr{
 		{Key: "session", Value: "s1"}, {Key: "error", Value: "breaker geocoder open"},
 	}})
-	r.ObserveDecision(obs.Decision{Seq: 1, Session: "s1", Stage: "session.evict", Candidate: "s1", Action: obs.ActionDropped, Reason: "x"})
+	r.decisions.Record(obs.Decision{Session: "s1", Stage: "session.evict", Candidate: "s1", Action: obs.ActionDropped, Reason: "x"})
 	r.RecordEvent(EventShed, "", "acme", "at capacity")
 	id, ok := r.Trigger(TriggerBreakerOpen, "geocoder open", "s1", "")
 	if !ok {
@@ -138,22 +151,41 @@ func TestTimelineRetentionAndAttribution(t *testing.T) {
 	}
 }
 
-// TestRingCapsBoundMemory drives each ring past its cap and checks the
-// occupancy stays bounded (oldest half dropped).
+// TestRingCapsBoundMemory drives the event ring past its cap and the
+// attached span and decision rings past the per-bundle caps: the event
+// ring keeps exactly its newest MaxEvents, and a bundle carries exactly
+// the newest maxBundleSpans spans and maxBundleDecisions decisions.
 func TestRingCapsBoundMemory(t *testing.T) {
 	clk := newTestClock()
-	r := newTestRecorder(clk, Config{MaxEvents: 8, MaxSpans: 8, MaxDecisions: 8})
+	r := newTestRecorder(clk, Config{MaxEvents: 8})
 	for i := 0; i < 100; i++ {
 		r.RecordEvent(EventEvict, "s", "", "e")
-		r.ObserveSpan(obs.SpanEvent{Name: "x"})
-		r.ObserveDecision(obs.Decision{Candidate: "c"})
+	}
+	for i := 0; i < maxBundleSpans+10; i++ {
+		r.spans.Publish(obs.SpanEvent{Name: "x"})
+	}
+	for i := 0; i < maxBundleDecisions+10; i++ {
+		r.decisions.Record(obs.Decision{Candidate: "c"})
 	}
 	e, s, d := r.Retained()
-	if e > 8 || s > 8 || d > 8 {
-		t.Errorf("rings exceeded caps: events=%d spans=%d decisions=%d", e, s, d)
+	if e != 8 || s != maxBundleSpans+10 || d != maxBundleDecisions+10 {
+		t.Errorf("retained events=%d spans=%d decisions=%d, want 8/%d/%d",
+			e, s, d, maxBundleSpans+10, maxBundleDecisions+10)
 	}
-	if e == 0 || s == 0 || d == 0 {
-		t.Error("rings should retain the newest entries after overflow")
+	id, ok := r.Trigger(TriggerSignal, "capture", "", "")
+	if !ok {
+		t.Fatal("trigger should capture")
+	}
+	inc, _ := r.Incident(id)
+	if len(inc.Events) != 8 || inc.Events[7].Seq != 100 {
+		t.Errorf("bundle events = %d (last seq %d), want the newest 8", len(inc.Events), inc.Events[len(inc.Events)-1].Seq)
+	}
+	if len(inc.Spans) != maxBundleSpans || inc.Spans[0].Span.Seq != 11 {
+		t.Errorf("bundle spans = %d (first seq %d), want the newest %d", len(inc.Spans), inc.Spans[0].Span.Seq, maxBundleSpans)
+	}
+	if len(inc.Decisions) != maxBundleDecisions || inc.Decisions[0].Decision.Seq != 11 {
+		t.Errorf("bundle decisions = %d (first seq %d), want the newest %d",
+			len(inc.Decisions), inc.Decisions[0].Decision.Seq, maxBundleDecisions)
 	}
 }
 
@@ -299,10 +331,10 @@ func TestRenderTimelineNamesTheStory(t *testing.T) {
 	clk.Advance(2 * time.Second)
 	trips.Inc()
 	r.RecordEvent(EventBreaker, "s1", "", "geocoder: closed -> open")
-	r.ObserveSpan(obs.SpanEvent{Seq: 9, Name: "stage.execute", DurNs: 250_000, Attrs: []obs.Attr{
+	r.spans.Publish(obs.SpanEvent{Name: "stage.execute", DurNs: 250_000, Attrs: []obs.Attr{
 		{Key: "session", Value: "s1"}, {Key: "breaker", Value: "geocoder"},
 	}})
-	r.ObserveDecision(obs.Decision{Seq: 2, Session: "s1", Stage: "suggest.columns", Candidate: "Zip", Action: obs.ActionDegraded, Reason: "rows dropped"})
+	r.decisions.Record(obs.Decision{Session: "s1", Stage: "suggest.columns", Candidate: "Zip", Action: obs.ActionDegraded, Reason: "rows dropped"})
 	id, ok := r.Trigger(TriggerBreakerOpen, "geocoder: closed -> open", "s1", "acme")
 	if !ok {
 		t.Fatal("trigger should capture")
@@ -334,8 +366,8 @@ func TestSummaryCountsMatchBundle(t *testing.T) {
 	clk := newTestClock()
 	r := newTestRecorder(clk, Config{})
 	r.RecordEvent(EventShed, "", "acme", "capacity")
-	r.ObserveSpan(obs.SpanEvent{Name: "a"})
-	r.ObserveSpan(obs.SpanEvent{Name: "b"})
+	r.spans.Publish(obs.SpanEvent{Name: "a"})
+	r.spans.Publish(obs.SpanEvent{Name: "b"})
 	id, _ := r.Trigger(TriggerSignal, "capture", "", "acme")
 	list := r.Incidents()
 	if len(list) != 1 {

@@ -199,7 +199,7 @@ func TestRegistryReset(t *testing.T) {
 }
 
 func TestDecisionLog(t *testing.T) {
-	l := NewDecisionLog()
+	l := NewDecisionLog(0, nil)
 	l.Record(Decision{Stage: "suggest.columns", Candidate: "Sheet1→Zipcode Resolver", Action: ActionSuggested, Rank: 0, Cost: 0.4})
 	l.Record(Decision{Stage: "suggest.columns", Candidate: "Sheet1→Geocoder", Action: ActionPruned, Reason: "cost 1.3 above threshold", Rank: -1})
 	if l.Len() != 2 {
@@ -224,21 +224,24 @@ func TestDecisionLog(t *testing.T) {
 }
 
 func TestDecisionLogBounded(t *testing.T) {
-	l := NewDecisionLog()
+	l := NewDecisionLog(0, nil)
 	for i := 0; i < maxDecisions+100; i++ {
 		l.Record(Decision{Stage: "s", Candidate: "c", Action: ActionDropped})
 	}
-	if l.Len() > maxDecisions {
-		t.Fatalf("log grew to %d, cap %d", l.Len(), maxDecisions)
+	if l.Len() != maxDecisions {
+		t.Fatalf("log holds %d, want exactly the newest %d", l.Len(), maxDecisions)
 	}
 	ds := l.Decisions()
-	if ds[len(ds)-1].Seq != maxDecisions+100 {
-		t.Fatalf("latest decision lost: last seq %d", ds[len(ds)-1].Seq)
+	if ds[0].Seq != 101 || ds[len(ds)-1].Seq != maxDecisions+100 {
+		t.Fatalf("retained seqs %d..%d, want 101..%d", ds[0].Seq, ds[len(ds)-1].Seq, maxDecisions+100)
+	}
+	if o := l.Ring().Overwritten(); o != 100 {
+		t.Fatalf("Overwritten = %d, want 100", o)
 	}
 }
 
 func TestDecisionLogConcurrent(t *testing.T) {
-	l := NewDecisionLog()
+	l := NewDecisionLog(0, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -1,6 +1,9 @@
 package obs
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // SpanEvent is one finished span as published to a live exporter, in
 // end order with the trace's internal ids. Live streaming cannot use
@@ -8,7 +11,7 @@ import "sync"
 // set); consumers that need diffable output still use WriteJSONL /
 // WriteChrome on the completed trace.
 type SpanEvent struct {
-	Seq     int64  `json:"seq"` // ring sequence number, monotonically increasing
+	Seq     int64  `json:"seq,omitempty"` // ring sequence number from 1; 0 outside a ring
 	ID      int64  `json:"id"`
 	Parent  int64  `json:"parent"`
 	Name    string `json:"name"`
@@ -18,61 +21,95 @@ type SpanEvent struct {
 	Attrs   []Attr `json:"attrs,omitempty"`
 }
 
-// SpanRing is a bounded ring buffer of finished spans feeding the
-// telemetry server's /trace/stream endpoint: the tracer publishes every
-// ended span, the ring keeps the most recent `cap`, and any number of
-// stream subscribers read forward from a cursor, waiting on a broadcast
-// channel for more. Safe for concurrent use; a nil *SpanRing is inert.
-type SpanRing struct {
-	mu      sync.Mutex
-	cap     int
-	buf     []SpanEvent
-	next    int64 // sequence number the next published span receives
-	notify  chan struct{}
-	dropped int64 // spans slow subscribers missed (cursor fell off the ring)
+// Ring is the one bounded event store of the observability substrate:
+// the span stream, the decision log, a trace's spans and the flight
+// recorder's events are all Rings. It keeps the newest max values,
+// growing by doubling up to that bound and then overwriting the oldest
+// in place. Every value gets a sequence number (the first is 1) and an
+// arrival time. Followers read forward from a cursor and wait on a
+// channel that closes on the next Publish. Safe for concurrent use; a
+// nil *Ring is inert.
+type Ring[T any] struct {
+	mu          sync.Mutex
+	max         int
+	now         func() time.Time             // arrival clock; nil stamps no time
+	stamp       func(v T, seq, atNs int64) T // writes both into v; runs under mu
+	buf         []Entry[T]
+	head        int   // index of the oldest entry once buf is full
+	last        int64 // sequence number of the newest entry
+	overwritten int64
+	missed      int64 // values followers skipped by falling behind
+	wake        chan struct{}
 }
 
-// DefaultSpanRingSize bounds the live-span buffer: enough for several
-// suggestion refreshes' worth of spans without unbounded growth when no
-// client is streaming.
-const DefaultSpanRingSize = 4096
-
-// NewSpanRing creates a ring holding the most recent `capacity` spans.
-func NewSpanRing(capacity int) *SpanRing {
-	if capacity < 1 {
-		capacity = DefaultSpanRingSize
-	}
-	return &SpanRing{cap: capacity, notify: make(chan struct{})}
+// Entry is one retained value with its arrival time (UnixNano).
+type Entry[T any] struct {
+	AtNs int64
+	V    T
 }
 
-// Publish appends one span event, evicting the oldest on overflow, and
-// wakes every waiting subscriber. The event's Seq is assigned here.
-func (r *SpanRing) Publish(ev SpanEvent) {
+// NewRing creates a ring holding the newest size values (at least one),
+// stamped on the now clock; stamp, when non-nil, returns each value
+// with its sequence number and arrival time written in, to be stored.
+func NewRing[T any](size int, now func() time.Time, stamp func(v T, seq, atNs int64) T) *Ring[T] {
+	return &Ring[T]{max: max(size, 1), now: now, stamp: stamp}
+}
+
+// Publish appends v, overwriting the oldest value when the ring is
+// full, and wakes every waiting follower.
+func (r *Ring[T]) Publish(v T) { r.publish(v) }
+
+// publish is Publish returning v as stamped.
+func (r *Ring[T]) publish(v T) T {
 	if r == nil {
-		return
+		return v
+	}
+	var at int64
+	if r.now != nil {
+		at = r.now().UnixNano()
 	}
 	r.mu.Lock()
-	ev.Seq = r.next
-	r.next++
-	r.buf = append(r.buf, ev)
-	if len(r.buf) > r.cap {
-		// Copy down instead of re-slicing so the backing array's dropped
-		// prefix is reclaimable.
-		n := copy(r.buf, r.buf[len(r.buf)-r.cap:])
-		r.buf = r.buf[:n]
+	r.last++
+	if r.stamp != nil {
+		v = r.stamp(v, r.last, at)
 	}
-	close(r.notify)
-	r.notify = make(chan struct{})
+	e := Entry[T]{AtNs: at, V: v}
+	if len(r.buf) < r.max {
+		if len(r.buf) == cap(r.buf) {
+			grown := make([]Entry[T], len(r.buf), min(max(2*cap(r.buf), 8), r.max))
+			copy(grown, r.buf)
+			r.buf = grown
+		}
+		r.buf = append(r.buf, e)
+	} else {
+		r.buf[r.head] = e
+		if r.head++; r.head == r.max {
+			r.head = 0
+		}
+		r.overwritten++
+	}
+	if r.wake != nil {
+		close(r.wake)
+		r.wake = nil
+	}
 	r.mu.Unlock()
+	return v
 }
 
-// Since returns a copy of every buffered event with Seq >= cursor, the
-// cursor to resume from, and a channel that closes on the next Publish
-// — the subscriber loop is: drain, write, select on wait/ctx, repeat.
-// A subscriber that fell behind the ring's capacity resumes at the
-// oldest retained span; the spans it missed are counted in Dropped()
-// (exported as the spans.dropped counter) so the loss is observable.
-func (r *SpanRing) Since(cursor int64) (events []SpanEvent, next int64, wait <-chan struct{}) {
+// at returns the i-th retained entry, oldest first (under r.mu).
+func (r *Ring[T]) at(i int) *Entry[T] {
+	if i += r.head; i >= len(r.buf) {
+		i -= len(r.buf)
+	}
+	return &r.buf[i]
+}
+
+// Since returns a copy of the retained values with sequence number >=
+// cursor, the cursor to resume from, and a channel that closes on the
+// next Publish. Cursor 0 reads from the oldest value; a follower whose
+// cursor fell behind resumes there, and what it missed counts in
+// Dropped.
+func (r *Ring[T]) Since(cursor int64) (vs []T, next int64, wait <-chan struct{}) {
 	if r == nil {
 		closed := make(chan struct{})
 		close(closed)
@@ -80,24 +117,58 @@ func (r *SpanRing) Since(cursor int64) (events []SpanEvent, next int64, wait <-c
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	first := r.next - int64(len(r.buf))
+	first := r.last - int64(len(r.buf)) + 1
 	if cursor < first {
-		// cursor > 0 distinguishes a lagging subscriber from a fresh one
-		// (fresh subscribers start at 0, which is legitimately below
-		// `first` once the ring has wrapped).
 		if cursor > 0 {
-			r.dropped += first - cursor
+			r.missed += first - cursor
 		}
 		cursor = first
 	}
-	if cursor < r.next {
-		events = append(events, r.buf[cursor-first:]...)
+	vs = make([]T, 0, max(r.last-cursor+1, 0))
+	for i := int(cursor - first); i < len(r.buf); i++ {
+		vs = append(vs, r.at(i).V)
 	}
-	return events, r.next, r.notify
+	if r.wake == nil {
+		r.wake = make(chan struct{})
+	}
+	return vs, r.last + 1, r.wake
 }
 
-// Len reports how many spans the ring currently retains.
-func (r *SpanRing) Len() int {
+// Values copies the retained values, oldest first.
+func (r *Ring[T]) Values() []T {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]T, len(r.buf))
+	for i := range out {
+		out[i] = r.at(i).V
+	}
+	return out
+}
+
+// Window copies the newest entries that arrived at or after cutoffNs,
+// at most limit of them, oldest first (the flight recorder's capture).
+func (r *Ring[T]) Window(cutoffNs int64, limit int) []Entry[T] {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	from := len(r.buf)
+	for from > 0 && len(r.buf)-from < limit && r.at(from-1).AtNs >= cutoffNs {
+		from--
+	}
+	out := make([]Entry[T], 0, len(r.buf)-from)
+	for i := from; i < len(r.buf); i++ {
+		out = append(out, *r.at(i))
+	}
+	return out
+}
+
+// Len reports how many values the ring retains.
+func (r *Ring[T]) Len() int {
 	if r == nil {
 		return 0
 	}
@@ -106,21 +177,60 @@ func (r *SpanRing) Len() int {
 	return len(r.buf)
 }
 
-// Dropped reports how many spans slow subscribers have missed in total
-// (cursor fell behind the ring's retention).
-func (r *SpanRing) Dropped() int64 {
+// Cap reports the ring's bound.
+func (r *Ring[T]) Cap() int {
+	if r == nil {
+		return 0
+	}
+	return r.max
+}
+
+// Dropped reports how many values followers missed by falling behind.
+func (r *Ring[T]) Dropped() int64 {
 	if r == nil {
 		return 0
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.dropped
+	return r.missed
 }
 
-// Cap reports the ring's capacity.
-func (r *SpanRing) Cap() int {
+// Overwritten reports how many values newer ones have overwritten.
+func (r *Ring[T]) Overwritten() int64 {
 	if r == nil {
 		return 0
 	}
-	return r.cap
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.overwritten
+}
+
+// Reset drops every value; sequence numbers keep increasing.
+func (r *Ring[T]) Reset() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.buf, r.head = nil, 0
+	r.mu.Unlock()
+}
+
+// SpanRing is the ring of ended spans behind /trace/stream and the
+// flight recorder's span capture.
+type SpanRing = Ring[SpanEvent]
+
+// DefaultSpanRingSize bounds a span ring and a trace's retained spans:
+// several suggestion refreshes' worth.
+const DefaultSpanRingSize = 4096
+
+// NewSpanRing creates a ring holding the most recent `capacity` spans
+// (DefaultSpanRingSize when capacity < 1), stamped on the now clock.
+func NewSpanRing(capacity int, now func() time.Time) *SpanRing {
+	if capacity < 1 {
+		capacity = DefaultSpanRingSize
+	}
+	return NewRing(capacity, now, func(ev SpanEvent, seq, _ int64) SpanEvent {
+		ev.Seq = seq
+		return ev
+	})
 }

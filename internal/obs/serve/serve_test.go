@@ -258,8 +258,8 @@ func TestHealthDegradedRowRate(t *testing.T) {
 }
 
 func TestTraceStreamDumpAndFollow(t *testing.T) {
-	ring := obs.NewSpanRing(16)
-	log := obs.NewDecisionLog()
+	ring := obs.NewSpanRing(16, nil)
+	log := obs.NewDecisionLog(0, nil)
 	s := New(Config{Ring: ring, Decisions: log})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -313,7 +313,7 @@ func TestTraceStreamDumpAndFollow(t *testing.T) {
 }
 
 func TestDecisionsEndpoint(t *testing.T) {
-	log := obs.NewDecisionLog()
+	log := obs.NewDecisionLog(0, nil)
 	log.Record(obs.Decision{Stage: "suggest.columns", Candidate: "Geocoder→zip", Action: obs.ActionSuggested, Rank: 0})
 	log.Record(obs.Decision{Stage: "suggest.columns", Candidate: "Reverse→phone", Action: obs.ActionPruned, Rank: -1})
 	log.Record(obs.Decision{Stage: "feedback.columns", Candidate: "Geocoder→zip", Action: obs.ActionAccepted, Rank: 0})

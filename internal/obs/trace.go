@@ -76,27 +76,21 @@ func (s *Span) End() {
 	s.tr.record(s, s.tr.clock.Now())
 }
 
-// spanRec is a finished span as stored by the trace.
-type spanRec struct {
-	id, parentID int64
-	name, cat    string
-	startNs      int64 // offset from the trace epoch
-	durNs        int64
-	attrs        []Attr
-}
-
-// Trace collects spans. It is safe for concurrent use: the parallel
-// candidate executor and the Lawler fan-out emit spans into one shared
-// trace. A nil *Trace is inert — Start returns nil and every derived
-// call no-ops — which is the disabled fast path.
+// Trace collects spans, keeping the newest DefaultSpanRingSize ended
+// ones (a resident traced session cannot grow it without bound; a span
+// whose parent was overwritten exports as a root). It is safe for
+// concurrent use: the parallel candidate executor and the Lawler
+// fan-out emit spans into one shared trace. A nil *Trace is inert —
+// Start returns nil and every derived call no-ops — which is the
+// disabled fast path.
 type Trace struct {
 	clock resilience.Clock
 	epoch time.Time
 
-	mu     sync.Mutex
+	mu     sync.Mutex // guards nextID and sink
 	nextID int64
-	spans  []spanRec
 	sink   func(SpanEvent)
+	spans  *Ring[SpanEvent] // the newest DefaultSpanRingSize ended spans
 }
 
 // NewTrace creates a trace on the given clock; nil means the wall
@@ -106,7 +100,7 @@ func NewTrace(clock resilience.Clock) *Trace {
 	if clock == nil {
 		clock = resilience.SystemClock{}
 	}
-	return &Trace{clock: clock, epoch: clock.Now()}
+	return &Trace{clock: clock, epoch: clock.Now(), spans: NewRing[SpanEvent](DefaultSpanRingSize, nil, nil)}
 }
 
 // Clock returns the clock the trace timestamps with.
@@ -134,31 +128,24 @@ func (t *Trace) newSpan(name, cat string, parent int64) *Span {
 }
 
 func (t *Trace) record(s *Span, end time.Time) {
-	rec := spanRec{
-		id:       s.id,
-		parentID: s.parentID,
-		name:     s.name,
-		cat:      s.cat,
-		startNs:  s.start.Sub(t.epoch).Nanoseconds(),
-		durNs:    end.Sub(s.start).Nanoseconds(),
-		attrs:    s.attrs,
+	ev := SpanEvent{
+		ID:      s.id,
+		Parent:  s.parentID,
+		Name:    s.name,
+		Cat:     s.cat,
+		StartNs: s.start.Sub(t.epoch).Nanoseconds(),
+		DurNs:   end.Sub(s.start).Nanoseconds(),
+		Attrs:   s.attrs,
 	}
+	t.spans.Publish(ev)
 	t.mu.Lock()
-	t.spans = append(t.spans, rec)
 	sink := t.sink
 	t.mu.Unlock()
 	if sink != nil {
 		// Outside the lock: the sink (a SpanRing) takes its own mutex and
-		// may wake stream subscribers.
-		sink(SpanEvent{
-			ID:      rec.id,
-			Parent:  rec.parentID,
-			Name:    rec.name,
-			Cat:     rec.cat,
-			StartNs: rec.startNs,
-			DurNs:   rec.durNs,
-			Attrs:   append([]Attr(nil), rec.attrs...),
-		})
+		// may wake stream followers.
+		ev.Attrs = append([]Attr(nil), ev.Attrs...)
+		sink(ev)
 	}
 }
 
@@ -175,31 +162,28 @@ func (t *Trace) SetSink(sink func(SpanEvent)) {
 	t.mu.Unlock()
 }
 
-// Len reports the number of recorded (ended) spans.
+// Len reports the number of retained (ended) spans.
 func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.spans.Len()
 }
 
-// Reset drops every recorded span, keeping the clock and epoch.
-func (t *Trace) Reset() {
+// Overwritten reports how many ended spans the trace's bound has
+// overwritten (exported as trace.overwritten).
+func (t *Trace) Overwritten() int64 {
 	if t == nil {
-		return
+		return 0
 	}
-	t.mu.Lock()
-	t.spans = nil
-	t.mu.Unlock()
+	return t.spans.Overwritten()
 }
 
 // ---------------------------------------------------------------- export
 
 // exportSpan is a span with its export-stable id assignment.
 type exportSpan struct {
-	spanRec
+	SpanEvent
 	exportID       int64
 	parentExportID int64
 	tid            int64 // lane: the export id of the span's root ancestor
@@ -222,18 +206,16 @@ func attrKey(attrs []Attr) string {
 // the goroutines interleaved — export byte-identical JSON, which is
 // what makes virtual-clock traces diffable artifacts.
 func (t *Trace) ordered() []*exportSpan {
-	t.mu.Lock()
-	spans := append([]spanRec(nil), t.spans...)
-	t.mu.Unlock()
+	spans := t.spans.Values()
 
 	byID := make(map[int64]bool, len(spans))
 	for _, s := range spans {
-		byID[s.id] = true
+		byID[s.ID] = true
 	}
 	children := map[int64][]*exportSpan{}
 	for i := range spans {
-		es := &exportSpan{spanRec: spans[i]}
-		parent := es.parentID
+		es := &exportSpan{SpanEvent: spans[i]}
+		parent := es.Parent
 		if !byID[parent] {
 			parent = 0 // orphan (parent never ended): export as a root
 		}
@@ -242,16 +224,16 @@ func (t *Trace) ordered() []*exportSpan {
 	for _, sibs := range children {
 		sort.SliceStable(sibs, func(i, j int) bool {
 			a, b := sibs[i], sibs[j]
-			if a.startNs != b.startNs {
-				return a.startNs < b.startNs
+			if a.StartNs != b.StartNs {
+				return a.StartNs < b.StartNs
 			}
-			if a.durNs != b.durNs {
-				return a.durNs < b.durNs
+			if a.DurNs != b.DurNs {
+				return a.DurNs < b.DurNs
 			}
-			if a.name != b.name {
-				return a.name < b.name
+			if a.Name != b.Name {
+				return a.Name < b.Name
 			}
-			return attrKey(a.attrs) < attrKey(b.attrs)
+			return attrKey(a.Attrs) < attrKey(b.Attrs)
 		})
 	}
 	var out []*exportSpan
@@ -268,7 +250,7 @@ func (t *Trace) ordered() []*exportSpan {
 				es.tid = tid
 			}
 			out = append(out, es)
-			walk(es.id, es.exportID, es.tid)
+			walk(es.ID, es.exportID, es.tid)
 		}
 	}
 	walk(0, 0, 0)
@@ -299,17 +281,17 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	events := make([]chromeEvent, 0, t.Len())
 	for _, es := range t.ordered() {
 		ev := chromeEvent{
-			Name: es.name,
-			Cat:  es.cat,
+			Name: es.Name,
+			Cat:  es.Cat,
 			Ph:   "X",
-			Ts:   float64(es.startNs) / 1e3,
-			Dur:  float64(es.durNs) / 1e3,
+			Ts:   float64(es.StartNs) / 1e3,
+			Dur:  float64(es.DurNs) / 1e3,
 			Pid:  1,
 			Tid:  es.tid,
 		}
-		if len(es.attrs) > 0 {
-			ev.Args = make(map[string]string, len(es.attrs))
-			for _, a := range es.attrs {
+		if len(es.Attrs) > 0 {
+			ev.Args = make(map[string]string, len(es.Attrs))
+			for _, a := range es.Attrs {
 				ev.Args[a.Key] = a.Value
 			}
 		}
@@ -323,17 +305,6 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// jsonlSpan is one span as a JSONL record.
-type jsonlSpan struct {
-	ID      int64  `json:"id"`
-	Parent  int64  `json:"parent"`
-	Name    string `json:"name"`
-	Cat     string `json:"cat"`
-	StartNs int64  `json:"start_ns"`
-	DurNs   int64  `json:"dur_ns"`
-	Attrs   []Attr `json:"attrs,omitempty"`
-}
-
 // WriteJSONL serializes the trace as one span per line, parent before
 // child, in the same deterministic order as WriteChrome.
 func (t *Trace) WriteJSONL(w io.Writer) error {
@@ -342,15 +313,15 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	for _, es := range t.ordered() {
-		attrs := append([]Attr(nil), es.attrs...)
+		attrs := append([]Attr(nil), es.Attrs...)
 		sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
-		rec := jsonlSpan{
+		rec := SpanEvent{ // Seq 0: omitted
 			ID:      es.exportID,
 			Parent:  es.parentExportID,
-			Name:    es.name,
-			Cat:     es.cat,
-			StartNs: es.startNs,
-			DurNs:   es.durNs,
+			Name:    es.Name,
+			Cat:     es.Cat,
+			StartNs: es.StartNs,
+			DurNs:   es.DurNs,
 			Attrs:   attrs,
 		}
 		if err := enc.Encode(rec); err != nil {

@@ -107,7 +107,7 @@ func shelterScenario(name string, style webworld.SiteStyle, cfg Config) (Scenari
 }
 
 // graphTask adapts an intlearn.Learner over an explicit source graph
-// to the Scenario shape: Ranked polls TopQueries, Feedback accepts the
+// to the Scenario shape: Ranked polls TopQueriesCtx, Feedback accepts the
 // correct query when it is visible (the strongest signal the UI
 // offers) and otherwise rejects the top wrong one.
 type graphTask struct {
@@ -118,7 +118,7 @@ type graphTask struct {
 }
 
 func (t *graphTask) ranked(k int) ([]Candidate, error) {
-	qs, err := t.lrn.TopQueries(t.terminals, k)
+	qs, err := t.lrn.TopQueriesCtx(nil, t.terminals, k)
 	if err != nil {
 		return nil, err
 	}

@@ -20,7 +20,7 @@ const scaleChainCities = 8
 
 // scaleStitch is the 10x-world scenario: a scaled webworld's stitching
 // chains loaded as narrow fragment sources, queried end to end. The
-// graph is large enough that TopQueries answers from the SPCSH heuristic
+// graph is large enough that TopQueriesCtx answers from the SPCSH heuristic
 // and refines exactly in the background; Ranked joins the refinement
 // (WaitRefines) and re-polls, so the scored ranking is the one a user
 // polling the workspace would eventually see. The decoy shortcut of the

@@ -75,12 +75,10 @@ type Manager struct {
 	ring    *obs.SpanRing
 	metrics *obs.Registry
 	// flight is the host flight recorder every hosted workspace shares:
-	// spans, decisions, and lifecycle events from all sessions land in
-	// one timeline, and trigger rules capture incident bundles from it.
+	// it captures incident bundles from its events, ring and decisions.
 	flight *flight.Recorder
-	// decisions is the host-level decision log: manager lifecycle
-	// decisions (which session failed to evict, and why) that belong to
-	// no single workspace.
+	// decisions is the host decision log: every hosted workspace's
+	// decisions and the manager's own (which session failed to evict).
 	decisions *obs.DecisionLog
 
 	created     atomic.Int64
@@ -105,6 +103,10 @@ type Manager struct {
 	residentBytes int64
 }
 
+// hostDecisions bounds the host decision log: the newest decisions
+// across the fleet, as many as one incident bundle carries.
+const hostDecisions = 1024
+
 // NewManager builds a manager. It panics if cfg.Factory is nil — a
 // manager without a way to build state is a programming error, not a
 // runtime condition.
@@ -117,7 +119,6 @@ func NewManager(cfg Config) *Manager {
 		store:    cfg.Store,
 		clock:    cfg.Clock,
 		slo:      cfg.SLO,
-		ring:     obs.NewSpanRing(obs.DefaultSpanRingSize),
 		metrics:  obs.NewRegistry(),
 		quality:  obs.NewQualityTracker(),
 		tenantQ:  map[string]*obs.QualityTracker{},
@@ -129,13 +130,15 @@ func NewManager(cfg Config) *Manager {
 	if m.slo == nil {
 		m.slo = obs.NewSLOTracker(obs.DefaultSLOConfig(), m.now)
 	}
-	m.decisions = obs.NewDecisionLog()
 	m.flight = flight.New(flight.Config{
 		Clock:    m.now,
 		Metrics:  m.MetricsSnapshot,
 		Registry: m.metrics,
 		Dir:      cfg.IncidentDir,
 	})
+	m.ring = obs.NewSpanRing(obs.DefaultSpanRingSize, m.now)
+	m.decisions = obs.NewDecisionLog(hostDecisions, m.now)
+	m.flight.Attach(m.ring, m.decisions)
 	m.decisions.SetSink(m.flight.ObserveDecision)
 	if qs, ok := m.store.(interface{ SetQuarantineHook(func(id, reason string)) }); ok {
 		qs.SetQuarantineHook(func(id, reason string) {
@@ -209,8 +212,8 @@ func (m *Manager) Store() Store { return m.store }
 // shared by every hosted session).
 func (m *Manager) Flight() *flight.Recorder { return m.flight }
 
-// Decisions exposes the host-level decision log (manager lifecycle
-// decisions such as eviction-failure attribution).
+// Decisions exposes the host decision log: every hosted session's
+// decisions and the manager's eviction-failure attribution.
 func (m *Manager) Decisions() *obs.DecisionLog { return m.decisions }
 
 // refreshStage is the stage whose per-session completions both the host
@@ -226,10 +229,10 @@ func (m *Manager) wire(s *Session, st *State) {
 	ws.SessionID = s.id
 	ws.Decisions.SetSession(s.id)
 	ws.SetSpanRing(m.ring)
-	// All hosted workspaces share the host flight recorder, so one
-	// incident bundle carries the whole fleet's recent timeline with
-	// per-session attribution.
+	// All hosted workspaces share the host recorder, ring and decision
+	// log, so one bundle carries the whole fleet's recent timeline.
 	ws.SetFlight(m.flight)
+	ws.Decisions.SetSink(m.decisions.Record)
 	if m.cfg.EnableTracing {
 		ws.EnableTracing()
 	}
@@ -825,6 +828,8 @@ func (m *Manager) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["sessions.recovered"] = st.Recovered
 	snap.Counters["sessions.admission_rejected"] = st.Rejected
 	snap.Counters["spans.dropped"] = m.ring.Dropped()
+	snap.Counters["spans.overwritten"] = m.ring.Overwritten()
+	snap.Counters["decisions.overwritten"] = m.decisions.Ring().Overwritten()
 	snap.Gauges["sessions.count"] = float64(st.Sessions)
 	snap.Gauges["sessions.resident"] = float64(st.Resident)
 	snap.Gauges["sessions.resident_bytes"] = float64(st.ResidentBytes)

@@ -113,10 +113,15 @@ func (st *State) Restore(data []byte) error {
 // graph, registries) added on top of the data-proportional terms.
 const sessionBaseBytes = 64 << 10
 
+// spanBytes is the estimate per span a traced session's trace retains
+// (at most obs.DefaultSpanRingSize).
+const spanBytes = 256
+
 // SizeEstimate approximates the resident footprint in bytes — catalog
-// rows, workspace tabs, plan-cache entries, decision-log length — for
-// the manager's aggregate memory accounting. It is an estimate used for
-// LRU budgeting, not an exact heap measurement.
+// rows, workspace tabs, plan-cache entries, decision-log length,
+// retained trace spans — for the manager's aggregate memory accounting.
+// It is an estimate used for LRU budgeting, not an exact heap
+// measurement.
 func (st *State) SizeEstimate() int64 {
 	n := int64(sessionBaseBytes)
 	if st.Catalog != nil {
@@ -134,6 +139,7 @@ func (st *State) SizeEstimate() int64 {
 			n += int64(ws.PlanCache.Len()) * 4096
 		}
 		n += int64(ws.Decisions.Len()) * 256
+		n += int64(ws.Trace().Len()) * spanBytes
 	}
 	return n
 }

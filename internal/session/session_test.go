@@ -473,3 +473,53 @@ func TestHostSLOObservesAllSessions(t *testing.T) {
 		t.Fatalf("sessions.created = %d", snap.Counters["sessions.created"])
 	}
 }
+
+// TestSizeEstimateCountsTraceSpans: the memory accounting that drives
+// eviction sees the spans a traced session's trace retains, up to the
+// trace's bound, while an untraced session's estimate has no span term.
+func TestSizeEstimateCountsTraceSpans(t *testing.T) {
+	w := testWorld()
+	newState := func(traced bool) *session.State {
+		st, err := demoFactory(w)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			st.Workspace.EnableTracing()
+		}
+		mustImport(t, w, st)
+		st.Workspace.SetMode(workspace.ModeIntegration)
+		st.Workspace.RefreshColumnSuggestions()
+		return st
+	}
+	plain, traced := newState(false), newState(true)
+	tr := traced.Workspace.Trace()
+	if tr.Len() == 0 {
+		t.Fatal("traced session recorded no spans")
+	}
+	perSpan := (traced.SizeEstimate() - plain.SizeEstimate()) / int64(tr.Len())
+	if perSpan <= 0 || traced.SizeEstimate()-plain.SizeEstimate() != perSpan*int64(tr.Len()) {
+		t.Fatalf("traced - untraced estimate = %d for %d spans, want a positive per-span term",
+			traced.SizeEstimate()-plain.SizeEstimate(), tr.Len())
+	}
+
+	before := traced.SizeEstimate()
+	tr.Start("extra", "stage").End()
+	if got := traced.SizeEstimate() - before; got != perSpan {
+		t.Fatalf("one more span moved the estimate by %d, want %d", got, perSpan)
+	}
+	for tr.Len() < obs.DefaultSpanRingSize {
+		tr.Start("fill", "stage").End()
+	}
+	atBound := traced.SizeEstimate()
+	for i := 0; i < 1000; i++ {
+		tr.Start("past-bound", "stage").End()
+	}
+	if got := traced.SizeEstimate(); got != atBound {
+		t.Fatalf("estimate grew past the trace bound: %d → %d", atBound, got)
+	}
+	if atBound-plain.SizeEstimate() != perSpan*obs.DefaultSpanRingSize {
+		t.Fatalf("estimate at the bound counts %d span bytes, want %d",
+			atBound-plain.SizeEstimate(), perSpan*obs.DefaultSpanRingSize)
+	}
+}

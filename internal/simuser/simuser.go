@@ -289,7 +289,7 @@ func BuildFamily(n int) *Family {
 // prefersGood reports whether the top query for source s routes through
 // the preferred hub.
 func (f *Family) prefersGood(s string) (bool, error) {
-	qs, err := f.Learner.TopQueries([]string{s, f.Target}, 1)
+	qs, err := f.Learner.TopQueriesCtx(nil, []string{s, f.Target}, 1)
 	if err != nil || len(qs) == 0 {
 		return false, fmt.Errorf("simuser: no query for %s: %v", s, err)
 	}
@@ -305,7 +305,7 @@ func (f *Family) prefersGood(s string) (bool, error) {
 // the good-hub route is accepted over the bad-hub route. It returns
 // whether an update occurred.
 func (f *Family) TrainOn(s string) (bool, error) {
-	qs, err := f.Learner.TopQueries([]string{s, f.Target}, 2)
+	qs, err := f.Learner.TopQueriesCtx(nil, []string{s, f.Target}, 2)
 	if err != nil || len(qs) == 0 {
 		return false, fmt.Errorf("simuser: no queries for %s: %v", s, err)
 	}

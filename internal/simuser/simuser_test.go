@@ -87,7 +87,7 @@ func TestBuildFamilyStructure(t *testing.T) {
 	// Before training, top queries exist for each source — and every one
 	// of them prefers the (wrong) stale-mirror route.
 	for _, s := range f.Sources {
-		qs, err := f.Learner.TopQueries([]string{s, f.Target}, 2)
+		qs, err := f.Learner.TopQueriesCtx(nil, []string{s, f.Target}, 2)
 		if err != nil || len(qs) < 2 {
 			t.Fatalf("source %s: %d queries, err %v", s, len(qs), err)
 		}

@@ -22,15 +22,16 @@ func (w *Workspace) now() time.Time {
 
 // EnableTracing starts recording spans for every pipeline stage into a
 // fresh trace on the workspace clock. Until called, tracing is disabled
-// and costs nothing beyond a nil check per stage. Ended spans also feed
-// the live span ring (so an attached telemetry server streams them as
-// they happen) and the flight recorder's retained timeline.
+// and costs nothing beyond a nil check per stage. The trace keeps the
+// newest obs.DefaultSpanRingSize ended spans; each is also published
+// to the live span ring (streamed, and read by flight captures).
 func (w *Workspace) EnableTracing() {
-	w.trace = obs.NewTrace(w.Clock)
-	w.trace.SetSink(func(ev obs.SpanEvent) {
+	tr := obs.NewTrace(w.Clock)
+	tr.SetSink(func(ev obs.SpanEvent) {
 		w.spanRing.Publish(ev)
 		w.flight.ObserveSpan(ev)
 	})
+	w.trace.Store(tr)
 }
 
 // SpanRing exposes the live-span buffer the telemetry server's
@@ -61,18 +62,18 @@ func (w *Workspace) SetFlight(r *flight.Recorder) { w.flight = r }
 
 // DisableTracing stops span recording (the trace collected so far is
 // discarded).
-func (w *Workspace) DisableTracing() { w.trace = nil }
+func (w *Workspace) DisableTracing() { w.trace.Store(nil) }
 
 // Tracing reports whether span recording is active.
-func (w *Workspace) Tracing() bool { return w.trace != nil }
+func (w *Workspace) Tracing() bool { return w.trace.Load() != nil }
 
 // Trace exposes the active trace (nil when tracing is disabled).
-func (w *Workspace) Trace() *obs.Trace { return w.trace }
+func (w *Workspace) Trace() *obs.Trace { return w.trace.Load() }
 
 // TraceTo writes the collected spans as Chrome trace_event JSON,
 // loadable in chrome://tracing or Perfetto. Safe (and empty) when
 // tracing was never enabled.
-func (w *Workspace) TraceTo(out io.Writer) error { return w.trace.WriteChrome(out) }
+func (w *Workspace) TraceTo(out io.Writer) error { return w.Trace().WriteChrome(out) }
 
 // stage opens one top-level pipeline stage: a root span on the session
 // trace (when tracing is on), a sample in the stage's latency
@@ -80,7 +81,7 @@ func (w *Workspace) TraceTo(out io.Writer) error { return w.trace.WriteChrome(ou
 // observation in the rolling burn windows. The returned done func ends
 // all of them.
 func (w *Workspace) stage(name string) (*obs.Span, func()) {
-	sp := w.trace.Start(name, "stage")
+	sp := w.Trace().Start(name, "stage")
 	if w.SessionID != "" {
 		sp.SetAttr("session", w.SessionID)
 	}
@@ -149,6 +150,9 @@ func (w *Workspace) MetricsSnapshot() obs.Snapshot {
 	snap.Counters["engine.breaker_trips"] = es.BreakerTrips
 	snap.Counters["engine.degraded_rows"] = es.DegradedRows
 	snap.Counters["spans.dropped"] = w.spanRing.Dropped()
+	snap.Counters["spans.overwritten"] = w.spanRing.Overwritten()
+	snap.Counters["decisions.overwritten"] = w.Decisions.Ring().Overwritten()
+	snap.Counters["trace.overwritten"] = w.Trace().Overwritten()
 	if w.SvcCache != nil {
 		snap.Gauges["cache.entries"] = float64(w.SvcCache.Len())
 	}

@@ -81,7 +81,7 @@ func TestQualityInstrumentationAcrossSurfaces(t *testing.T) {
 // decision log's "quality" stage, the `:why quality` surface.
 func TestQualityDecisionLog(t *testing.T) {
 	e := newEnv(t, 0)
-	e.ws.Decisions = obs.NewDecisionLog()
+	e.ws.Decisions = obs.NewDecisionLog(0, nil)
 	e.pasteShelters(t, 2)
 	if err := e.ws.AcceptRows(); err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"copycat/internal/catalog"
@@ -185,17 +186,16 @@ type Workspace struct {
 	QualityHook func(ev obs.QualityEvent)
 
 	// trace is the active span tracer; nil (the default) disables
-	// tracing at ~zero cost. Managed by EnableTracing/DisableTracing.
-	trace *obs.Trace
+	// tracing at ~zero cost. Managed by EnableTracing/DisableTracing;
+	// atomic because a metrics scrape may read it during a toggle.
+	trace atomic.Pointer[obs.Trace]
 	// spanRing buffers ended spans for live streaming (/trace/stream);
 	// EnableTracing plugs it into the trace as a sink.
 	spanRing *obs.SpanRing
-	// flight is the always-on flight recorder: it retains recent spans,
-	// decisions, and lifecycle events, and captures incident bundles when
-	// a trigger rule fires. New installs a workspace-local recorder; a
-	// session manager replaces it with the shared host recorder via
-	// SetFlight. nil (via SetFlight(nil)) detaches recording entirely —
-	// the overhead experiment's control arm.
+	// flight is the always-on flight recorder: it captures incident
+	// bundles from its events, spanRing and Decisions when a trigger
+	// fires. A session manager replaces it with the shared host recorder
+	// via SetFlight; nil detaches it (the overhead experiment's control).
 	flight *flight.Recorder
 
 	mode   Mode
@@ -244,9 +244,7 @@ func New(cat *catalog.Catalog, types *modellearn.Library) *Workspace {
 		SvcCache:       engine.NewServiceCache(),
 		PlanCache:      plancache.New(DefaultPlanCacheSize),
 		Metrics:        obs.NewRegistry(),
-		Decisions:      obs.NewDecisionLog(),
 		Quality:        obs.NewQualityTracker(),
-		spanRing:       obs.NewSpanRing(obs.DefaultSpanRingSize),
 		structLearners: map[string]*structlearn.Learner{},
 		demotions:      map[string]int{},
 	}
@@ -261,8 +259,12 @@ func New(cat *catalog.Catalog, types *modellearn.Library) *Workspace {
 		Metrics:  w.MetricsSnapshot,
 		Registry: w.Metrics,
 	})
-	// Every recorded decision streams into whichever recorder is current
-	// (the closure re-reads w.flight, so SetFlight redirects it too).
+	// Captures read the workspace's own rings, stamped on its clock.
+	w.spanRing = obs.NewSpanRing(obs.DefaultSpanRingSize, w.now)
+	w.Decisions = obs.NewDecisionLog(0, w.now)
+	w.flight.Attach(w.spanRing, w.Decisions)
+	// Every recorded decision paces whichever recorder is current (the
+	// closure re-reads w.flight, so SetFlight redirects it too).
 	w.Decisions.SetSink(func(d obs.Decision) { w.flight.ObserveDecision(d) })
 	// Background exact-refinement failures are an incident trigger: the
 	// refine goroutine captured this hook at spawn, so it reports into
@@ -452,8 +454,8 @@ func (w *Workspace) execCtx(stage string) (*engine.ExecCtx, context.CancelFunc) 
 	if w.Resilience != nil {
 		opts = append(opts, engine.WithResilience(w.Resilience))
 	}
-	if w.trace != nil {
-		opts = append(opts, engine.WithTrace(w.trace))
+	if tr := w.trace.Load(); tr != nil {
+		opts = append(opts, engine.WithTrace(tr))
 	}
 	if w.Metrics != nil {
 		opts = append(opts, engine.WithMetrics(w.Metrics))
