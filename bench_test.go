@@ -7,13 +7,16 @@ package copycat
 // examples-to-convergence, and approximation ratios.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
 
 	"copycat/internal/engine"
+	"copycat/internal/intlearn"
 	"copycat/internal/linkage"
 	"copycat/internal/modellearn"
+	"copycat/internal/plancache"
 	"copycat/internal/simuser"
 	"copycat/internal/sourcegraph"
 	"copycat/internal/steiner"
@@ -331,5 +334,31 @@ func BenchmarkRecordLinking(b *testing.B) {
 		if hits == 0 {
 			b.Fatal("no links")
 		}
+	}
+}
+
+// BenchmarkFeedback100x is one stitch-100x feedback item: accept a
+// chain's fresh route over its stale shortcut, then re-poll the query
+// search, which patches the cached Steiner graph and spawns the
+// background exact refinement (joined before the next item). The
+// chain's weights are put back first, so every iteration moves the
+// same 7 of the 100x world's 4200 route weights.
+func BenchmarkFeedback100x(b *testing.B) {
+	l, fresh, stale, terms := stitchFeedback(100)
+	alts := []*intlearn.Query{stale}
+	ec := engine.NewExecCtx(context.Background(), engine.WithPlanCache(plancache.New(64)))
+	if _, err := l.TopQueriesCtx(ec, terms, 3); err != nil {
+		b.Fatal(err)
+	}
+	l.WaitRefines()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resetRoutes(l, fresh, stale)
+		l.AcceptQuery(fresh, alts)
+		if _, err := l.TopQueriesCtx(ec, terms, 3); err != nil {
+			b.Fatal(err)
+		}
+		l.WaitRefines()
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"slices"
 	"time"
 
 	"copycat"
@@ -13,9 +15,12 @@ import (
 // runs per measurement repetition.
 const pipelineRefreshes = 30
 
-// pipelineReps is how many repetitions the overhead comparison takes
-// the best of, to shave scheduler noise.
-const pipelineReps = 5
+// pipelineReps is how many interleaved untraced/traced loop pairs the
+// overhead comparison takes the median per-pair ratio of. A warm loop
+// takes about a millisecond, so single loops swing with the scheduler
+// by tens of percent; pairing neighbours in time and taking the median
+// of many pairs cancels that drift.
+const pipelineReps = 101
 
 // pipelineReport is the machine-readable result of the observability
 // experiment — what -json prints and -bench-out persists.
@@ -23,9 +28,9 @@ type pipelineReport struct {
 	Experiment   string                  `json:"experiment"`
 	Refreshes    int                     `json:"refreshes"`
 	Reps         int                     `json:"reps"`
-	PlainNs      int64                   `json:"plain_ns"`      // best untraced loop
-	TracedNs     int64                   `json:"traced_ns"`     // best traced loop
-	OverheadFrac float64                 `json:"overhead_frac"` // (traced-plain)/plain
+	PlainNs      int64                   `json:"plain_ns"`      // median untraced loop
+	TracedNs     int64                   `json:"traced_ns"`     // median traced loop
+	OverheadFrac float64                 `json:"overhead_frac"` // median per-pair traced/plain − 1
 	Spans        int                     `json:"spans"`         // spans recorded by the traced session
 	Metrics      copycat.MetricsSnapshot `json:"metrics"`       // unified snapshot (traced session)
 	ExecStats    copycat.ExecStats       `json:"exec_stats"`    // engine counters (traced session)
@@ -92,33 +97,53 @@ func pipelineLoop(sys *copycat.System) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// pipelineRun builds a session, optionally enables tracing, warms the
-// service cache, and returns the system plus its best-of-reps loop time.
-func pipelineRun(traced bool) (*copycat.System, time.Duration, error) {
-	sys, err := pipelineSetup(traced)
+// pipelineOverhead measures what tracing costs the warm refresh loop.
+// One session runs both arms, tracing switched on for one loop and off
+// for the next, in pairs whose order alternates; two sessions would
+// differ by more than tracing costs. A collection before every loop
+// keeps the collector's cycle from landing on one arm more than the
+// other. It returns the median loop time of each arm and the median
+// per-pair traced/untraced ratio minus one.
+func pipelineOverhead() (time.Duration, time.Duration, float64, error) {
+	sys, err := pipelineSetup(false)
 	if err != nil {
-		return nil, 0, err
+		return 0, 0, 0, err
 	}
 	if _, err := pipelineLoop(sys); err != nil { // warmup: fill the service cache
-		return nil, 0, err
+		return 0, 0, 0, err
 	}
-	best := time.Duration(0)
+	plain := make([]time.Duration, pipelineReps)
+	traced := make([]time.Duration, pipelineReps)
+	ratios := make([]float64, pipelineReps)
 	for r := 0; r < pipelineReps; r++ {
-		d, err := pipelineLoop(sys)
-		if err != nil {
-			return nil, 0, err
+		for i := 0; i < 2; i++ {
+			out := &plain[r]
+			if (r+i)%2 == 1 {
+				sys.EnableTracing()
+				out = &traced[r]
+			} else {
+				sys.DisableTracing()
+			}
+			runtime.GC()
+			d, err := pipelineLoop(sys)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			*out = d
 		}
-		if best == 0 || d < best {
-			best = d
-		}
+		ratios[r] = float64(traced[r]) / float64(plain[r])
 	}
-	return sys, best, nil
+	slices.Sort(plain)
+	slices.Sort(traced)
+	slices.Sort(ratios)
+	mid := pipelineReps / 2
+	return plain[mid], traced[mid], ratios[mid] - 1, nil
 }
 
 // expPipeline is the observability experiment: it measures per-stage
 // suggestion-loop latencies (p50/p95/p99 from the unified metrics
-// registry), compares a traced session against an untraced one to
-// quantify tracing overhead, exercises the search and rank stages so
+// registry), compares traced and untraced refresh loops to quantify
+// tracing overhead, exercises the search and rank stages so
 // the exported trace shows the whole learn → search → execute → rank
 // pipeline, and honors the -trace/-json/-bench-out/-overhead-budget
 // flags.
@@ -129,12 +154,17 @@ func expPipeline() error {
 	if warmMode || coldMode {
 		return expRefresh()
 	}
-	_, plain, err := pipelineRun(false)
+	plain, tracedDur, overhead, err := pipelineOverhead()
 	if err != nil {
 		return err
 	}
-	traced, tracedDur, err := pipelineRun(true)
+	// The traced session the report describes, traced from its first
+	// paste so the learn stages land in the trace.
+	traced, err := pipelineSetup(true)
 	if err != nil {
+		return err
+	}
+	if _, err := pipelineLoop(traced); err != nil {
 		return err
 	}
 	ws := traced.Workspace
@@ -159,7 +189,7 @@ func expPipeline() error {
 		Reps:         pipelineReps,
 		PlainNs:      plain.Nanoseconds(),
 		TracedNs:     tracedDur.Nanoseconds(),
-		OverheadFrac: float64(tracedDur-plain) / float64(plain),
+		OverheadFrac: overhead,
 		Spans:        ws.Trace().Len(),
 		Metrics:      traced.Metrics(),
 		ExecStats:    traced.Stats(),
@@ -183,9 +213,10 @@ func expPipeline() error {
 
 	var rows [][]string
 	rows = append(rows, []string{"suggestion refreshes timed", fmt.Sprint(pipelineRefreshes)})
-	rows = append(rows, []string{"untraced loop (best of reps)", plain.String()})
-	rows = append(rows, []string{"traced loop (best of reps)", tracedDur.String()})
-	rows = append(rows, []string{"tracing overhead", fmt.Sprintf("%.1f%%", 100*report.OverheadFrac)})
+	rows = append(rows, []string{"interleaved loop pairs", fmt.Sprint(pipelineReps)})
+	rows = append(rows, []string{"untraced loop (median)", plain.String()})
+	rows = append(rows, []string{"traced loop (median)", tracedDur.String()})
+	rows = append(rows, []string{"tracing overhead (median pair)", fmt.Sprintf("%.1f%%", 100*report.OverheadFrac)})
 	rows = append(rows, []string{"spans recorded", fmt.Sprint(report.Spans)})
 	printTable([]string{"measure", "value"}, rows)
 

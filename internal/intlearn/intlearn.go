@@ -118,6 +118,14 @@ type Learner struct {
 	steinGen    uint64 // source-graph generation the cached costs reflect
 	steinStruct uint64 // struct generation the cached topology reflects
 	steinCatVer uint64 // catalog version the cached node set reflects
+	// steinW holds each Steiner edge's unclamped MIRA weight, kept in step
+	// with steinG's costs, so a background refine prices its trees from a
+	// flat copy instead of a copy of the whole weight map.
+	steinW []float64
+
+	// syncStruct is the graph's struct generation at the last full weight
+	// sync (see syncCosts).
+	syncStruct uint64
 
 	// lastFP remembers each candidate completion's most recent fingerprint
 	// so a refresh can tell "new candidate" apart from "candidate whose
@@ -185,10 +193,24 @@ func (l *Learner) edgeCost(e *sourcegraph.Edge) float64 {
 }
 
 // syncCosts writes MIRA weights back onto the source graph so the next
-// discovery/suggestion pass sees learned costs.
-func (l *Learner) syncCosts() {
-	for id, w := range l.Mira.Snapshot() {
-		l.Graph.SetCost(id, w)
+// discovery/suggestion pass sees learned costs. It is the only code that
+// does so. Feedback writes the features its updates moved, so its cost
+// follows what moved, not how many weights were ever learned. One case
+// needs every weight: an edge added after its weight was learned (a
+// restored session whose snapshot named an edge that Discover re-adds
+// later) enters the graph at its default cost. So the first sync after
+// the graph's structure moved, and the first sync ever, write all of
+// them.
+func (l *Learner) syncCosts(moved []string) {
+	if sg := l.Graph.StructGeneration(); sg != l.syncStruct {
+		for id, w := range l.Mira.Snapshot() {
+			l.Graph.SetCost(id, w)
+		}
+		l.syncStruct = sg
+		return
+	}
+	for _, id := range moved {
+		l.Graph.SetCost(id, l.Mira.Weight(id))
 	}
 }
 
@@ -599,8 +621,8 @@ type steinerIndex struct {
 }
 
 // buildSteiner converts the source graph (with learned costs) into a
-// steiner.Graph.
-func (l *Learner) buildSteiner() (*steiner.Graph, *steinerIndex) {
+// steiner.Graph, returning each Steiner edge's unclamped weight alongside.
+func (l *Learner) buildSteiner() (*steiner.Graph, *steinerIndex, []float64) {
 	cat := l.Graph.Catalog()
 	names := cat.Names()
 	ix := &steinerIndex{
@@ -612,20 +634,19 @@ func (l *Learner) buildSteiner() (*steiner.Graph, *steinerIndex) {
 		ix.names = append(ix.names, name)
 	}
 	g := steiner.NewGraph(len(ix.names))
+	var weights []float64
 	for _, e := range l.Graph.Edges() {
 		u, okU := ix.idx[e.From]
 		v, okV := ix.idx[e.To]
 		if !okU || !okV {
 			continue
 		}
-		cost := l.edgeCost(e)
-		if cost < 0 {
-			cost = 0
-		}
-		ix.byEdge[e.ID] = g.AddEdge(u, v, cost)
+		w := l.edgeCost(e)
+		ix.byEdge[e.ID] = g.AddEdge(u, v, max(w, 0))
 		ix.edges = append(ix.edges, e)
+		weights = append(weights, w)
 	}
-	return g, ix
+	return g, ix, weights
 }
 
 // steinerGraphLocked returns the learner's cached Steiner compilation,
@@ -637,7 +658,7 @@ func (l *Learner) buildSteiner() (*steiner.Graph, *steinerIndex) {
 func (l *Learner) steinerGraphLocked() (*steiner.Graph, *steinerIndex) {
 	cat := l.Graph.Catalog()
 	if l.steinG == nil || l.steinStruct != l.Graph.StructGeneration() || l.steinCatVer != cat.Version() {
-		l.steinG, l.steinIx = l.buildSteiner()
+		l.steinG, l.steinIx, l.steinW = l.buildSteiner()
 		l.steinStruct = l.Graph.StructGeneration()
 		l.steinGen = l.Graph.Generation()
 		l.steinCatVer = cat.Version()
@@ -649,11 +670,9 @@ func (l *Learner) steinerGraphLocked() (*steiner.Graph, *steinerIndex) {
 			if !ok {
 				continue // edge endpoints were outside the catalog at build time
 			}
-			cost := l.edgeCost(e)
-			if cost < 0 {
-				cost = 0
-			}
-			l.steinG.SetEdgeCost(id, cost)
+			w := l.edgeCost(e)
+			l.steinG.SetEdgeCost(id, max(w, 0))
+			l.steinW[id] = w
 		}
 		l.steinGen = gen
 	}
@@ -748,7 +767,7 @@ func (l *Learner) TopQueriesCtx(ec *engine.ExecCtx, terminals []string, k int) (
 		cache.Put(memoKey, append([]*Query(nil), out...))
 	}
 	if tier == TierHybrid && cache != nil {
-		l.spawnRefineLocked(ec, cache, memoKey, g, ix, terms, terminals, k)
+		l.spawnRefineLocked(ec, cache, memoKey, g, ix, l.steinW, terms, terminals, k)
 	}
 	recordQueryDecisions(ec.Decisions(), out)
 	return out, nil
@@ -809,13 +828,14 @@ func queryFromTree(tr *steiner.Tree, g *steiner.Graph, ix *steinerIndex, termina
 
 // spawnRefineLocked starts the background exact refinement for a hybrid-
 // tier answer. Callers hold steinMu: the Steiner graph is cloned under
-// the lock (its own edge table, shared immutable topology) and the MIRA
-// weights snapshotted, so the goroutine touches no live learner state.
+// the lock (its own edge table, shared immutable topology) together with
+// its edges' MIRA weights, so the goroutine touches no live learner
+// state.
 // The refined ranking lands in the plan cache under the same memo key —
 // the key pins the graph generations, so any intervening feedback moves
 // future lookups to a new key and the stale publish is inert. One refine
 // per key is in flight at a time; WaitRefines joins them all.
-func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, memoKey uint64, g *steiner.Graph, ix *steinerIndex, terms []int, terminals []string, k int) {
+func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, memoKey uint64, g *steiner.Graph, ix *steinerIndex, weights []float64, terms []int, terminals []string, k int) {
 	l.refineMu.Lock()
 	if l.refineInFlight == nil {
 		l.refineInFlight = map[uint64]bool{}
@@ -828,7 +848,7 @@ func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, 
 	l.refineMu.Unlock()
 
 	gc := g.Clone()
-	weights := l.Mira.Snapshot()
+	weights = append([]float64(nil), weights...)
 	termsCopy := append([]int(nil), terms...)
 	namesCopy := append([]string(nil), terminals...)
 	reg := ec.Metrics()
@@ -858,15 +878,12 @@ func (l *Learner) spawnRefineLocked(ec *engine.ExecCtx, cache *plancache.Cache, 
 		out := make([]*Query, 0, len(trees))
 		for _, tr := range trees {
 			q := queryFromTree(tr, gc, ix, namesCopy)
-			// Cost from the weight snapshot — exactly Mira.Cost as of the
+			// Cost from the copied weights, summed in tr.Edges order (the
+			// order of q.EdgeIDs()) — exactly Mira.Cost as of the
 			// generation the memo key pins.
 			c := 0.0
-			for _, id := range q.EdgeIDs() {
-				if w, ok := weights[id]; ok {
-					c += w
-				} else {
-					c += sourcegraph.DefaultCost
-				}
+			for _, id := range tr.Edges {
+				c += weights[id]
 			}
 			q.Cost = c
 			out = append(out, q)
@@ -959,6 +976,8 @@ func (l *Learner) CompileQuery(q *Query) (engine.Plan, error) {
 // displayed alternatives: the accepted query must outrank each
 // alternative (§4.2's feedback constraints). Weights re-sync to the graph.
 func (l *Learner) AcceptCompletion(chosen Completion, alternatives []Completion) int {
+	var buf [16]string
+	moved := buf[:0]
 	updates := 0
 	for _, alt := range alternatives {
 		if alt.Edge.ID == chosen.Edge.ID {
@@ -968,19 +987,20 @@ func (l *Learner) AcceptCompletion(chosen Completion, alternatives []Completion)
 			Preferred: []string{chosen.Edge.ID},
 			Other:     []string{alt.Edge.ID},
 		}
-		if l.Mira.Update(c) {
+		var ok bool
+		if ok, moved = l.Mira.Update(c, moved); ok {
 			updates++
 		}
 	}
 	// Re-affirm the chosen edge is within the suggestion threshold.
 	if l.Mira.Weight(chosen.Edge.ID) > sourcegraph.SuggestThreshold {
-		l.Mira.Update(mira.Constraint{
+		_, moved = l.Mira.Update(mira.Constraint{
 			Preferred: []string{chosen.Edge.ID},
 			Other:     nil,
 			Margin:    -(sourcegraph.SuggestThreshold - mira.DefaultMargin),
-		})
+		}, moved)
 	}
-	l.syncCosts()
+	l.syncCosts(moved)
 	return updates
 }
 
@@ -989,35 +1009,53 @@ func (l *Learner) AcceptCompletion(chosen Completion, alternatives []Completion)
 // auto-completions, these should be given a rank below the relevance
 // threshold").
 func (l *Learner) RejectCompletion(c Completion) {
-	l.Mira.Update(mira.Constraint{
+	var buf [1]string
+	_, moved := l.Mira.Update(mira.Constraint{
 		Preferred: nil,
 		Other:     []string{c.Edge.ID},
 		Margin:    sourcegraph.SuggestThreshold + mira.DefaultMargin,
-	})
-	l.syncCosts()
+	}, buf[:0])
+	l.syncCosts(moved)
+}
+
+// PromoteCompletion records that the user pinned one of a completion's
+// tuples as known good: the completion's edge must sit below the default
+// cost by a margin, well inside the suggestion threshold.
+func (l *Learner) PromoteCompletion(c Completion) {
+	var buf [1]string
+	_, moved := l.Mira.Update(mira.Constraint{
+		Preferred: []string{c.Edge.ID},
+		Other:     nil,
+		Margin:    -(sourcegraph.DefaultCost - mira.DefaultMargin/2),
+	}, buf[:0])
+	l.syncCosts(moved)
 }
 
 // AcceptQuery prefers a full Steiner query over the alternatives.
 func (l *Learner) AcceptQuery(q *Query, alternatives []*Query) int {
+	var buf [16]string
+	moved := buf[:0]
 	updates := 0
 	for _, alt := range alternatives {
 		c := mira.Constraint{Preferred: q.EdgeIDs(), Other: alt.EdgeIDs()}
-		if l.Mira.Update(c) {
+		var ok bool
+		if ok, moved = l.Mira.Update(c, moved); ok {
 			updates++
 		}
 	}
-	l.syncCosts()
+	l.syncCosts(moved)
 	return updates
 }
 
 // RejectQuery pushes a whole query's cost above the threshold.
 func (l *Learner) RejectQuery(q *Query) {
-	l.Mira.Update(mira.Constraint{
+	var buf [16]string
+	_, moved := l.Mira.Update(mira.Constraint{
 		Preferred: nil,
 		Other:     q.EdgeIDs(),
 		Margin:    sourcegraph.SuggestThreshold + mira.DefaultMargin,
-	})
-	l.syncCosts()
+	}, buf[:0])
+	l.syncCosts(moved)
 }
 
 // ---------------------------------------------------------------- replacements (§3.2)

@@ -86,45 +86,63 @@ func (l *Learner) Violated(c Constraint) bool {
 	return l.Cost(c.Other)-l.Cost(c.Preferred) < margin-1e-9
 }
 
-// Update applies one passive-aggressive step for the constraint. It
-// returns true if weights changed. Only features appearing a different
-// number of times in the two queries move (§4.2: "It adjusts weights only
-// on edges that differ between the graphs").
-func (l *Learner) Update(c Constraint) bool {
+// term is one nonzero component of a constraint's difference vector φ.
+type term struct {
+	f string
+	v float64
+}
+
+// Update applies one passive-aggressive step for the constraint. Only
+// features appearing a different number of times in the two queries move
+// (§4.2: "It adjusts weights only on edges that differ between the
+// graphs"). It appends every feature whose weight it wrote to wrote and
+// returns the extended slice, so callers can propagate exactly those
+// weights. The bool reports whether the constraint's margin moved; it
+// is false for identical queries, for an already-satisfied (passive)
+// constraint, and when the MinFloor clamp absorbed the whole step —
+// a clamped step still writes weights, so wrote is what to propagate.
+func (l *Learner) Update(c Constraint, wrote []string) (bool, []string) {
 	margin := c.Margin
 	if margin == 0 {
 		margin = DefaultMargin
 	}
 	// φ = count(Other) − count(Preferred) per feature; want w·φ ≥ margin.
-	phi := map[string]float64{}
+	// φ lives in a small stack slice in first-occurrence order (Other's
+	// features, then Preferred's), so dot, norm and the write order are
+	// the same on every run.
+	var buf [16]term
+	phi := buf[:0]
 	for _, f := range c.Other {
-		phi[f]++
+		phi = addTerm(phi, f, 1)
 	}
 	for _, f := range c.Preferred {
-		phi[f]--
+		phi = addTerm(phi, f, -1)
 	}
-	for f, v := range phi {
-		if v == 0 {
-			delete(phi, f)
+	n := 0
+	for _, t := range phi {
+		if t.v != 0 {
+			phi[n] = t
+			n++
 		}
 	}
+	phi = phi[:n]
 	if len(phi) == 0 {
-		return false // identical queries cannot be separated
+		return false, wrote // identical queries cannot be separated
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	dot, norm := 0.0, 0.0
-	for f, v := range phi {
-		w, ok := l.weights[f]
+	for _, t := range phi {
+		w, ok := l.weights[t.f]
 		if !ok {
 			w = l.def
 		}
-		dot += w * v
-		norm += v * v
+		dot += w * t.v
+		norm += t.v * t.v
 	}
 	loss := margin - dot
 	if loss <= 0 {
-		return false // already satisfied (passive)
+		return false, wrote // already satisfied (passive)
 	}
 	tau := loss / norm
 	if l.C > 0 && tau > l.C {
@@ -132,18 +150,19 @@ func (l *Learner) Update(c Constraint) bool {
 	}
 	clamped := false
 	newDot := 0.0
-	for f, v := range phi {
-		w, ok := l.weights[f]
+	for _, t := range phi {
+		w, ok := l.weights[t.f]
 		if !ok {
 			w = l.def
 		}
-		w += tau * v
+		w += tau * t.v
 		if w < l.MinFloor {
 			w = l.MinFloor
 			clamped = true
 		}
-		l.weights[f] = w
-		newDot += w * v
+		l.weights[t.f] = w
+		wrote = append(wrote, t.f)
+		newDot += w * t.v
 	}
 	// The MinFloor clamp can absorb the whole step, leaving the
 	// constraint as violated as before. Reporting true then would be
@@ -151,9 +170,20 @@ func (l *Learner) Update(c Constraint) bool {
 	// budget re-applying a no-op. Only claim a change when the margin
 	// actually moved.
 	if clamped && newDot <= dot+1e-12 {
-		return false
+		return false, wrote
 	}
-	return true
+	return true, wrote
+}
+
+// addTerm adds d to f's component of φ, appending f on first occurrence.
+func addTerm(phi []term, f string, d float64) []term {
+	for i := range phi {
+		if phi[i].f == f {
+			phi[i].v += d
+			return phi
+		}
+	}
+	return append(phi, term{f, d})
 }
 
 // UpdateBatch cycles through constraints until none is violated or the
@@ -163,7 +193,7 @@ func (l *Learner) UpdateBatch(cs []Constraint, epochs int) int {
 	for e := 0; e < epochs; e++ {
 		changed := false
 		for _, c := range cs {
-			if l.Update(c) {
+			if moved, _ := l.Update(c, nil); moved {
 				updates++
 				changed = true
 			}

@@ -1,6 +1,7 @@
 package mira
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +31,7 @@ func TestSingleUpdateFixesRanking(t *testing.T) {
 	if !l.Violated(c) {
 		t.Fatal("constraint should start violated")
 	}
-	if !l.Update(c) {
+	if ok, _ := l.Update(c, nil); !ok {
 		t.Fatal("update should fire")
 	}
 	if l.Violated(c) {
@@ -40,7 +41,7 @@ func TestSingleUpdateFixesRanking(t *testing.T) {
 		t.Errorf("margin not achieved: good=%f bad=%f", l.Cost(good), l.Cost(bad))
 	}
 	// Second update is passive.
-	if l.Update(c) {
+	if ok, _ := l.Update(c, nil); ok {
 		t.Error("satisfied constraint should not update")
 	}
 }
@@ -52,7 +53,7 @@ func TestUpdateOnlyTouchesDifferingFeatures(t *testing.T) {
 		Preferred: []string{shared, "good-edge"},
 		Other:     []string{shared, "bad-edge"},
 	}
-	l.Update(c)
+	l.Update(c, nil)
 	if l.Weight(shared) != 1.0 {
 		t.Errorf("shared feature moved: %f", l.Weight(shared))
 	}
@@ -67,7 +68,7 @@ func TestUpdateOnlyTouchesDifferingFeatures(t *testing.T) {
 func TestIdenticalQueriesCannotSeparate(t *testing.T) {
 	l := New(1.0)
 	c := Constraint{Preferred: []string{"x"}, Other: []string{"x"}}
-	if l.Update(c) {
+	if ok, _ := l.Update(c, nil); ok {
 		t.Error("identical feature multisets should be a no-op")
 	}
 }
@@ -76,7 +77,7 @@ func TestWeightFloor(t *testing.T) {
 	l := New(0.05)
 	// Repeatedly push a feature downward.
 	for i := 0; i < 50; i++ {
-		l.Update(Constraint{Preferred: []string{"cheap"}, Other: []string{"exp"}, Margin: 10})
+		l.Update(Constraint{Preferred: []string{"cheap"}, Other: []string{"exp"}, Margin: 10}, nil)
 	}
 	if l.Weight("cheap") < l.MinFloor {
 		t.Errorf("weight sank below floor: %f", l.Weight("cheap"))
@@ -86,7 +87,7 @@ func TestWeightFloor(t *testing.T) {
 func TestAggressivenessCap(t *testing.T) {
 	l := New(1.0)
 	l.C = 0.01
-	l.Update(Constraint{Preferred: []string{"a"}, Other: []string{"b"}, Margin: 100})
+	l.Update(Constraint{Preferred: []string{"a"}, Other: []string{"b"}, Margin: 100}, nil)
 	// With τ capped at 0.01, weights move at most 0.01.
 	if l.Weight("b") > 1.02 {
 		t.Errorf("cap ignored: %f", l.Weight("b"))
@@ -128,7 +129,7 @@ func TestUpdateSatisfiesConstraintProperty(t *testing.T) {
 			bad = append(bad, string(rune('a'+b%20)))
 		}
 		c := Constraint{Preferred: good, Other: bad}
-		changed := l.Update(c)
+		changed, _ := l.Update(c, nil)
 		if !changed {
 			return true // not separable or already satisfied
 		}
@@ -141,7 +142,7 @@ func TestUpdateSatisfiesConstraintProperty(t *testing.T) {
 
 func TestSnapshotAndString(t *testing.T) {
 	l := New(1.0)
-	l.Update(Constraint{Preferred: []string{"a"}, Other: []string{"b"}})
+	l.Update(Constraint{Preferred: []string{"a"}, Other: []string{"b"}}, nil)
 	snap := l.Snapshot()
 	if len(snap) != 2 {
 		t.Errorf("snapshot = %v", snap)
@@ -164,7 +165,7 @@ func TestConcurrentUse(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			f := string(rune('a' + i))
-			l.Update(Constraint{Preferred: []string{f}, Other: []string{f + "x"}})
+			l.Update(Constraint{Preferred: []string{f}, Other: []string{f + "x"}}, nil)
 			l.Cost([]string{f})
 			l.Snapshot()
 		}(i)
@@ -177,13 +178,13 @@ func TestRepeatedFeatureCounts(t *testing.T) {
 	l := New(1.0)
 	c := Constraint{Preferred: []string{"a"}, Other: []string{"a", "a"}}
 	// cost(Other)-cost(Preferred) = 1 ≥ margin 0.5 already: passive.
-	if l.Update(c) {
+	if ok, _ := l.Update(c, nil); ok {
 		t.Error("already satisfied")
 	}
 	// Satisfying this one needs w(a) ≤ -0.25; with the default floor it
 	// stays clamped (update fires but cannot fully separate)...
 	c2 := Constraint{Preferred: []string{"a", "a", "a"}, Other: []string{"a"}, Margin: 0.5}
-	if !l.Update(c2) {
+	if ok, _ := l.Update(c2, nil); !ok {
 		t.Fatal("should update")
 	}
 	if !l.Violated(c2) {
@@ -192,7 +193,7 @@ func TestRepeatedFeatureCounts(t *testing.T) {
 	// ...and with the floor lifted, the same constraint becomes satisfiable.
 	l2 := New(1.0)
 	l2.MinFloor = -10
-	if !l2.Update(c2) {
+	if ok, _ := l2.Update(c2, nil); !ok {
 		t.Fatal("should update")
 	}
 	if l2.Violated(c2) {
@@ -208,10 +209,10 @@ func TestClampedNoProgressReturnsFalse(t *testing.T) {
 	l := New(1.0)
 	// Satisfying this needs w(e) ≤ −0.5, below the floor: unsatisfiable.
 	c := Constraint{Preferred: []string{"e"}, Margin: 0.5}
-	if !l.Update(c) {
+	if ok, _ := l.Update(c, nil); !ok {
 		t.Fatal("first update moves w(e) down to the floor: real progress")
 	}
-	if l.Update(c) {
+	if ok, _ := l.Update(c, nil); ok {
 		t.Error("second update is fully clamped: no progress, must return false")
 	}
 }
@@ -230,5 +231,64 @@ func TestUpdateBatchConvergesOnFloorBoundConstraint(t *testing.T) {
 	l2.UpdateBatch(cs2, 1000)
 	if l2.Violated(cs2[0]) {
 		t.Error("satisfiable constraint should end satisfied")
+	}
+}
+
+// TestUpdateDeterministic is a regression test: Update used to sum dot
+// and norm over a map, so the same constraint on two identical learners
+// could round differently and write different weight bits.
+func TestUpdateDeterministic(t *testing.T) {
+	seed := map[string]float64{
+		"a": 0.1, "b": 1234.5, "c": 3.7, "d": 1e-3,
+		"e": 1.0 / 3, "f": 7e5, "g": 0.6, "h": 2.25,
+	}
+	c := Constraint{
+		Preferred: []string{"a", "b", "c", "d"},
+		Other:     []string{"e", "f", "g", "h"},
+		Margin:    1e6,
+	}
+	run := func() map[string]uint64 {
+		l := New(1.0)
+		for f, w := range seed {
+			l.SetWeight(f, w)
+		}
+		l.Update(c, nil)
+		out := map[string]uint64{}
+		for f, w := range l.Snapshot() {
+			out[f] = math.Float64bits(w)
+		}
+		return out
+	}
+	want := run()
+	for i := 0; i < 1000; i++ {
+		got := run()
+		for f, bits := range want {
+			if got[f] != bits {
+				t.Fatalf("rerun %d: weight of %s = %v, first run %v", i,
+					f, math.Float64frombits(got[f]), math.Float64frombits(bits))
+			}
+		}
+	}
+}
+
+// TestUpdateReportsWrites: the features Update wrote come back in
+// first-occurrence order (Other's, then Preferred's), shared features
+// and passive steps write nothing, and a MinFloor-clamped step that
+// leaves the margin where it was still reports its writes.
+func TestUpdateReportsWrites(t *testing.T) {
+	l := New(1.0)
+	c := Constraint{Preferred: []string{"s", "p", "p"}, Other: []string{"o", "s", "q"}}
+	moved, wrote := l.Update(c, []string{"earlier"})
+	if !moved || strings.Join(wrote, ",") != "earlier,o,q,p" {
+		t.Fatalf("Update = %v, %v; want true, [earlier o q p]", moved, wrote)
+	}
+	satisfied := Constraint{Preferred: []string{"p"}, Other: []string{"o"}, Margin: 0.1}
+	if moved, wrote := l.Update(satisfied, nil); moved || len(wrote) != 0 {
+		t.Errorf("passive step = %v, %v; want false, []", moved, wrote)
+	}
+	floor := Constraint{Preferred: []string{"e"}, Margin: 0.5}
+	l.Update(floor, nil)
+	if moved, wrote := l.Update(floor, nil); moved || strings.Join(wrote, ",") != "e" {
+		t.Errorf("clamped step = %v, %v; want false, [e]", moved, wrote)
 	}
 }

@@ -65,6 +65,8 @@ type Edge struct {
 	// the conjunction of all of them (§4.1).
 	FromCols, ToCols []string
 	Cost             float64
+
+	gen uint64 // graph generation at which the edge last changed
 }
 
 // Label renders a compact human-readable description.
@@ -89,12 +91,20 @@ type Graph struct {
 	// cache, the Steiner memo) can invalidate selectively instead of
 	// recomputing per refresh. structGen counts only structural changes
 	// (edge additions): when it is unchanged, a cached Steiner graph can
-	// be patched in place rather than rebuilt. edgeGen records the
-	// generation at which each edge last changed, forming the per-edge
-	// dirty set feedback propagates to the suggestion pipeline.
+	// be patched in place rather than rebuilt. Each edge records the
+	// generation at which it last changed, forming the per-edge dirty set
+	// feedback propagates to the suggestion pipeline.
 	gen       uint64
 	structGen uint64
-	edgeGen   map[string]uint64
+
+	// changes logs the edge behind every generation bump: changes[i]
+	// changed at generation changesFloor+i+1. It lets ChangedSince answer
+	// in O(changed) instead of scanning every edge. It is allocated on the
+	// first change and holds at most as many entries as the graph has
+	// edges; when full, its older half is dropped and changesFloor moves
+	// up, so a consumer older than the floor falls back to a full scan.
+	changes      []*Edge
+	changesFloor uint64
 
 	// adjCache memoizes EdgesAt's sorted incidence lists; it is valid
 	// while the graph generation matches adjGen-1 (cost order can move
@@ -109,7 +119,7 @@ type Graph struct {
 
 // New creates an empty graph over a catalog.
 func New(cat *catalog.Catalog) *Graph {
-	return &Graph{cat: cat, edges: map[string]*Edge{}, byNode: map[string][]string{}, edgeGen: map[string]uint64{}}
+	return &Graph{cat: cat, edges: map[string]*Edge{}, byNode: map[string][]string{}}
 }
 
 // Catalog returns the underlying catalog.
@@ -127,20 +137,54 @@ func (g *Graph) StructGeneration() uint64 { return g.structGen }
 
 // EdgeGeneration reports the generation at which the given edge last
 // changed (was added, or had its cost moved); 0 for unknown edges.
-func (g *Graph) EdgeGeneration(id string) uint64 { return g.edgeGen[id] }
+func (g *Graph) EdgeGeneration(id string) uint64 {
+	if e, ok := g.edges[id]; ok {
+		return e.gen
+	}
+	return 0
+}
 
 // ChangedSince returns the edges whose generation is later than gen —
 // the dirty set a consumer holding a snapshot at gen must re-examine.
-// Results come back sorted by ID for determinism.
+// Results come back sorted by ID for determinism. A consumer within the
+// change log's reach costs O(changes since gen); an older one costs a
+// scan of every edge.
 func (g *Graph) ChangedSince(gen uint64) []*Edge {
+	if gen >= g.gen {
+		return nil
+	}
 	var out []*Edge
-	for id, eg := range g.edgeGen {
-		if eg > gen {
-			out = append(out, g.edges[id])
+	if gen >= g.changesFloor {
+		// An edge changed several times appears once per change; keep
+		// only the entry of its latest one.
+		for i, e := range g.changes[gen-g.changesFloor:] {
+			if e.gen == gen+uint64(i)+1 {
+				out = append(out, e)
+			}
+		}
+	} else {
+		for _, e := range g.edges {
+			if e.gen > gen {
+				out = append(out, e)
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
+}
+
+// bump advances the generation for a change to e and logs it.
+func (g *Graph) bump(e *Edge) {
+	g.gen++
+	e.gen = g.gen
+	if n := len(g.changes); n > 0 && n >= len(g.edges) {
+		keep := n / 2
+		copy(g.changes, g.changes[n-keep:])
+		clear(g.changes[keep:])
+		g.changes = g.changes[:keep]
+		g.changesFloor += uint64(n - keep)
+	}
+	g.changes = append(g.changes, e)
 }
 
 // AddEdge inserts an association if not already present; it returns the
@@ -161,9 +205,8 @@ func (g *Graph) AddEdge(e Edge) *Edge {
 	if e.To != e.From {
 		g.byNode[e.To] = append(g.byNode[e.To], e.ID)
 	}
-	g.gen++
 	g.structGen++
-	g.edgeGen[e.ID] = g.gen
+	g.bump(&stored)
 	return &stored
 }
 
@@ -227,9 +270,8 @@ func (g *Graph) EdgesAt(node string) []*Edge {
 }
 
 // SetCost updates an edge's cost (the MIRA learner's write path). The
-// generation counters advance only when the cost actually moves, so a
-// full weight re-sync after feedback dirties exactly the edges the MIRA
-// update touched.
+// generation counters advance only when the cost actually moves, so
+// re-writing a weight the edge already carries dirties nothing.
 func (g *Graph) SetCost(id string, cost float64) bool {
 	e, ok := g.edges[id]
 	if !ok {
@@ -237,8 +279,7 @@ func (g *Graph) SetCost(id string, cost float64) bool {
 	}
 	if e.Cost != cost {
 		e.Cost = cost
-		g.gen++
-		g.edgeGen[id] = g.gen
+		g.bump(e)
 	}
 	return true
 }

@@ -1,6 +1,9 @@
 package sourcegraph
 
 import (
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 
@@ -308,5 +311,70 @@ func TestDiscoverWithSchemaMatcher(t *testing.T) {
 	// — matcher confidence with full value overlap beats that).
 	if cityEdge.Cost >= SuggestThreshold {
 		t.Errorf("matcher edge should be suggestable: cost %f", cityEdge.Cost)
+	}
+}
+
+// TestChangedSinceMatchesFullScan drives a graph through a seeded mix of
+// edge additions and cost writes (some of them no-ops) and checks, after
+// every step, ChangedSince for consumers of every age against a scan of
+// per-edge generations recorded independently here. The log is bounded
+// by the edge count, so consumers older than its floor take the
+// full-scan fallback; the run must reach that case.
+func TestChangedSinceMatchesFullScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	g := New(catalog.New())
+	lastGen := map[string]uint64{}
+	var ids []string
+	olderThanFloor := 0
+	for step := 0; step < 600; step++ {
+		before := g.Generation()
+		var id string
+		if len(ids) < 4 || rng.Intn(8) == 0 {
+			e := g.AddEdge(Edge{From: fmt.Sprintf("s%d", rng.Intn(12)), To: fmt.Sprintf("t%d", rng.Intn(12)),
+				Kind: KindJoin, FromCols: []string{"k"}, ToCols: []string{"k"}})
+			id = e.ID
+			if _, seen := lastGen[id]; !seen {
+				ids = append(ids, id)
+			}
+		} else {
+			id = ids[rng.Intn(len(ids))]
+			g.SetCost(id, float64(rng.Intn(4))/2) // repeats leave the cost alone
+		}
+		if g.Generation() != before {
+			lastGen[id] = g.Generation()
+		}
+		if len(g.changes) > len(g.edges) {
+			t.Fatalf("step %d: change log holds %d entries for %d edges", step, len(g.changes), len(g.edges))
+		}
+		// Every consumer age: 0, around the floor, and the recent past.
+		gens := []uint64{0, g.changesFloor, g.changesFloor + 1}
+		if g.changesFloor > 0 {
+			gens = append(gens, g.changesFloor-1)
+		}
+		for back := uint64(0); back < 40 && back <= g.Generation(); back++ {
+			gens = append(gens, g.Generation()-back)
+		}
+		for _, gen := range gens {
+			var want []string
+			for id, eg := range lastGen {
+				if eg > gen {
+					want = append(want, id)
+				}
+			}
+			sort.Strings(want)
+			var got []string
+			for _, e := range g.ChangedSince(gen) {
+				got = append(got, e.ID)
+			}
+			if strings.Join(got, " ") != strings.Join(want, " ") {
+				t.Fatalf("step %d: ChangedSince(%d) = %v, want %v", step, gen, got, want)
+			}
+			if gen < g.changesFloor {
+				olderThanFloor++
+			}
+		}
+	}
+	if olderThanFloor == 0 {
+		t.Fatal("no consumer was older than the change log's floor")
 	}
 }

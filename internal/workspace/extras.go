@@ -7,7 +7,6 @@ import (
 	"copycat/internal/docmodel"
 	"copycat/internal/engine"
 	"copycat/internal/intlearn"
-	"copycat/internal/mira"
 	"copycat/internal/obs"
 	"copycat/internal/sourcegraph"
 	"copycat/internal/table"
@@ -97,15 +96,7 @@ func (w *Workspace) PromoteSuggestedTuple(compIdx, rowIdx int) error {
 	if rowIdx < 0 || rowIdx >= len(c.Result.Rows) {
 		return fmt.Errorf("workspace: completion %d has no row %d", compIdx, rowIdx)
 	}
-	// Require the edge to sit below the default cost by a margin.
-	w.Int.Mira.Update(mira.Constraint{
-		Preferred: []string{c.Edge.ID},
-		Other:     nil,
-		Margin:    -(sourcegraph.DefaultCost - mira.DefaultMargin/2),
-	})
-	for id, wgt := range w.Int.Mira.Snapshot() {
-		w.Int.Graph.SetCost(id, wgt)
-	}
+	w.Int.PromoteCompletion(c)
 	w.qualityEvent(obs.QualityEvent{Kind: obs.FeedbackTuples, Accepted: true, Rank: -1})
 	return nil
 }
