@@ -575,7 +575,7 @@ func printHelp(out io.Writer) {
   summarize <col> <agg>...   group-by aggregate into a summary tab
   undo                       undo the last mutating action
   export <fmt> <file>        kml | geojson | xml | csv
-  save <file>                save the session as JSON
+  save <file>                save the session (gzip-framed JSON snapshot)
   load <file>                restore a saved session
   effort                     keystroke ledger
   :metrics                   unified metrics (counters, cache gauges, stage latencies)

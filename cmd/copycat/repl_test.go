@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"copycat/internal/persist"
 )
 
 // drive runs a scripted REPL session and returns its transcript.
@@ -20,7 +22,7 @@ func drive(t *testing.T, script string) string {
 func TestReplFullSession(t *testing.T) {
 	dir := t.TempDir()
 	kml := filepath.Join(dir, "out.kml")
-	sess := filepath.Join(dir, "session.json")
+	sess := filepath.Join(dir, "session.snap")
 	script := strings.Join([]string{
 		"help",
 		"sites",
@@ -59,7 +61,12 @@ func TestReplFullSession(t *testing.T) {
 	if data, err := os.ReadFile(kml); err != nil || !strings.Contains(string(data), "<Placemark>") {
 		t.Errorf("kml export bad: %v", err)
 	}
-	if data, err := os.ReadFile(sess); err != nil || !strings.Contains(string(data), "Sheet1") {
+	// The saved file is the framed snapshot; its JSON names the tab.
+	data, err := os.ReadFile(sess)
+	if err == nil {
+		data, err = persist.Decompress(data)
+	}
+	if err != nil || !strings.Contains(string(data), "Sheet1") {
 		t.Errorf("session save bad: %v", err)
 	}
 }
@@ -122,7 +129,7 @@ func TestReplSpreadsheetFlow(t *testing.T) {
 
 func TestReplSaveLoadRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	sess := filepath.Join(dir, "s.json")
+	sess := filepath.Join(dir, "s.snap")
 	// Session 1: import and save.
 	drive(t, strings.Join([]string{
 		"open shelters",

@@ -86,10 +86,10 @@ func pipelineSetupWith(cfg copycat.WorldConfig, traced bool) (*copycat.System, e
 	return sys, nil
 }
 
-// pipelineLoop times `pipelineRefreshes` suggestion refreshes.
-func pipelineLoop(sys *copycat.System) (time.Duration, error) {
+// pipelineLoop times n suggestion refreshes.
+func pipelineLoop(sys *copycat.System, n int) (time.Duration, error) {
 	start := time.Now()
-	for i := 0; i < pipelineRefreshes; i++ {
+	for i := 0; i < n; i++ {
 		if comps := sys.Workspace.RefreshColumnSuggestions(); len(comps) == 0 {
 			return 0, fmt.Errorf("suggestion refresh returned no completions")
 		}
@@ -97,47 +97,60 @@ func pipelineLoop(sys *copycat.System) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
-// pipelineOverhead measures what tracing costs the warm refresh loop.
-// One session runs both arms, tracing switched on for one loop and off
-// for the next, in pairs whose order alternates; two sessions would
-// differ by more than tracing costs. A collection before every loop
-// keeps the collector's cycle from landing on one arm more than the
-// other. It returns the median loop time of each arm and the median
-// per-pair traced/untraced ratio minus one.
+// pipelineOverhead measures what tracing costs the warm refresh loop:
+// pairedLoops on one session, tracing off in the control arm and on in
+// the measured one.
 func pipelineOverhead() (time.Duration, time.Duration, float64, error) {
 	sys, err := pipelineSetup(false)
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := pipelineLoop(sys); err != nil { // warmup: fill the service cache
+	if _, err := pipelineLoop(sys, pipelineRefreshes); err != nil { // warmup: fill the service cache
 		return 0, 0, 0, err
 	}
-	plain := make([]time.Duration, pipelineReps)
-	traced := make([]time.Duration, pipelineReps)
-	ratios := make([]float64, pipelineReps)
-	for r := 0; r < pipelineReps; r++ {
+	return pairedLoops(sys, pipelineReps, pipelineRefreshes, func(on bool) {
+		if on {
+			sys.EnableTracing()
+		} else {
+			sys.DisableTracing()
+		}
+	})
+}
+
+// pairedLoops times a control and a measured arm of pipelineLoop (n
+// refreshes per loop) on one session, in reps pairs; set(on) switches
+// the session to the measured arm (on) or the control arm. Two sessions
+// would differ by more than the measured cost, so one session runs both
+// arms. The pairs alternate which arm runs first, and a collection
+// before every loop keeps the collector's cycle from landing on one arm
+// more than the other. It returns the median loop time of each arm and
+// the median per-pair measured/control ratio minus one.
+func pairedLoops(sys *copycat.System, reps, n int, set func(on bool)) (time.Duration, time.Duration, float64, error) {
+	control := make([]time.Duration, reps)
+	measured := make([]time.Duration, reps)
+	ratios := make([]float64, reps)
+	for r := 0; r < reps; r++ {
 		for i := 0; i < 2; i++ {
-			out := &plain[r]
-			if (r+i)%2 == 1 {
-				sys.EnableTracing()
-				out = &traced[r]
-			} else {
-				sys.DisableTracing()
-			}
+			on := (r+i)%2 == 1
+			set(on)
 			runtime.GC()
-			d, err := pipelineLoop(sys)
+			d, err := pipelineLoop(sys, n)
 			if err != nil {
 				return 0, 0, 0, err
 			}
-			*out = d
+			if on {
+				measured[r] = d
+			} else {
+				control[r] = d
+			}
 		}
-		ratios[r] = float64(traced[r]) / float64(plain[r])
+		ratios[r] = float64(measured[r]) / float64(control[r])
 	}
-	slices.Sort(plain)
-	slices.Sort(traced)
+	slices.Sort(control)
+	slices.Sort(measured)
 	slices.Sort(ratios)
-	mid := pipelineReps / 2
-	return plain[mid], traced[mid], ratios[mid] - 1, nil
+	mid := reps / 2
+	return control[mid], measured[mid], ratios[mid] - 1, nil
 }
 
 // expPipeline is the observability experiment: it measures per-stage
@@ -164,7 +177,7 @@ func expPipeline() error {
 	if err != nil {
 		return err
 	}
-	if _, err := pipelineLoop(traced); err != nil {
+	if _, err := pipelineLoop(traced, pipelineRefreshes); err != nil {
 		return err
 	}
 	ws := traced.Workspace

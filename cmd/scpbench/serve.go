@@ -71,7 +71,7 @@ func expServe() error {
 		return err
 	}
 	base := "http://" + srv.Addr()
-	if _, err := pipelineLoop(sys); err != nil { // warmup: fill the service cache
+	if _, err := pipelineLoop(sys, pipelineRefreshes); err != nil { // warmup: fill the service cache
 		return err
 	}
 	// Warm the HTTP path too (listener accept, keep-alive connection),
@@ -121,13 +121,13 @@ func expServe() error {
 	// more than serving ever costs.
 	var plain, served time.Duration
 	for r := 0; r < serveReps; r++ {
-		d, err := pipelineLoop(sys)
+		d, err := pipelineLoop(sys, pipelineRefreshes)
 		if err != nil {
 			return err
 		}
 		plain += d
 		scraping.Store(true)
-		d, err = pipelineLoop(sys)
+		d, err = pipelineLoop(sys, pipelineRefreshes)
 		scraping.Store(false)
 		if err != nil {
 			return err

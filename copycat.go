@@ -40,6 +40,7 @@ import (
 	"copycat/internal/obs"
 	"copycat/internal/obs/flight"
 	"copycat/internal/obs/serve"
+	"copycat/internal/persist"
 	"copycat/internal/plancache"
 	"copycat/internal/resilience"
 	"copycat/internal/services"
@@ -574,20 +575,30 @@ func (s *System) OpenSpreadsheet(doc *Document) *Spreadsheet {
 }
 
 // SaveSession serializes the system's learned state — imported relations
-// (with semantic types and keys), the type library, learned source graph
-// edge costs, workspace tabs, and plan-cache counters — as JSON (§1:
-// integrations "persistently saved as an integrated, mediated view").
-// This is the same snapshot format the session host evicts to.
+// (with semantic types and keys), the type library, the source graph
+// with its learned edge costs, workspace tabs, and plan-cache counters —
+// as gzip-framed JSON (§1: integrations "persistently saved as an
+// integrated, mediated view"). The payload is the snapshot the session
+// host evicts to, framed the way its file store writes it.
 func (s *System) SaveSession() ([]byte, error) {
-	return s.Session.State().Snapshot()
+	data, err := s.Session.State().Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return persist.Compress(data), nil
 }
 
-// LoadSession restores a saved session into this system: relations and
-// types are merged into the catalog/library, associations re-discovered,
-// learned edge costs re-attached, workspace tabs replayed, and cache
-// counters carried over. Services are not serialized — register them
+// LoadSession restores a SaveSession payload into this system: relations
+// and types are merged into the catalog/library, the saved source graph
+// and its learned edge costs restored, workspace tabs replayed, and
+// cache counters carried over. Input that is not framed (raw JSON
+// included) is rejected. Services are not serialized — register them
 // before loading.
 func (s *System) LoadSession(data []byte) error {
+	data, err := persist.Decompress(data)
+	if err != nil {
+		return fmt.Errorf("copycat: load session: %w", err)
+	}
 	return s.Session.State().Restore(data)
 }
 

@@ -103,7 +103,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nsession snapshot: %d bytes of JSON (relations + types + learned costs)\n", len(data))
+	fmt.Printf("\nsession snapshot: %d bytes, gzip-framed (relations + types + source graph with learned costs)\n", len(data))
 	fmt.Printf("total effort: %s\n", ws.Keys)
 }
 

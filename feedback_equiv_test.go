@@ -22,7 +22,6 @@ import (
 	"copycat/internal/engine"
 	"copycat/internal/intlearn"
 	"copycat/internal/mira"
-	"copycat/internal/persist"
 	"copycat/internal/plancache"
 	"copycat/internal/session"
 	"copycat/internal/sourcegraph"
@@ -256,10 +255,11 @@ func addChainEdges(g *sourcegraph.Graph, ch webworld.StitchChain) (fresh, stale 
 	return fresh, stale
 }
 
-// reloadStitch rebuilds a learner the way session.State.Restore does:
-// a fresh graph, the saved non-default costs re-applied to it, and every
-// saved cost seeded as a MIRA weight, including those of edges the new
-// graph lacks.
+// reloadStitch rebuilds a learner through a lossy reload: a fresh
+// graph, the saved non-default costs re-applied to the edges it has, and
+// every saved cost seeded as a MIRA weight, including those of edges the
+// new graph lacks. Those weights reach the graph only through the
+// structural full sync once the edges are added back.
 func reloadStitch(w *webworld.World, old *intlearn.Learner, skip int) *intlearn.Learner {
 	floor := old.Mira.MinFloor
 	costs := map[string]float64{}
@@ -270,8 +270,8 @@ func reloadStitch(w *webworld.World, old *intlearn.Learner, skip int) *intlearn.
 	}
 	l := stitchLearner(w, skip)
 	l.Mira.MinFloor = floor
-	persist.ApplyCosts(l.Graph, costs)
 	for id, c := range costs {
+		l.Graph.SetCost(id, c)
 		l.Mira.SetWeight(id, c)
 	}
 	return l

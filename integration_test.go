@@ -76,8 +76,16 @@ func TestSessionPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh system with the same services restores the session.
+	// A fresh system with the same services restores the session. Only
+	// the framed payload loads: the raw JSON snapshot inside it does not.
 	sys2 := NewDemoSystem(DefaultWorldConfig())
+	raw, err := sys.Session.State().Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys2.LoadSession(raw); err == nil || !strings.Contains(err.Error(), "not a framed snapshot") {
+		t.Fatalf("LoadSession(raw JSON) = %v, want a not-framed error", err)
+	}
 	if err := sys2.LoadSession(data); err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +96,7 @@ func TestSessionPersistenceRoundTrip(t *testing.T) {
 	// The learned rejection carried over: the edge stays suppressed.
 	e := sys2.Workspace.Int.Graph.Edge(rejected)
 	if e == nil {
-		t.Fatalf("edge %s not re-discovered", rejected)
+		t.Fatalf("edge %s not restored", rejected)
 	}
 	if e.Cost <= 2.0 {
 		t.Errorf("rejected edge cost = %f, learning lost", e.Cost)

@@ -196,11 +196,13 @@ func (l *Learner) edgeCost(e *sourcegraph.Edge) float64 {
 // discovery/suggestion pass sees learned costs. It is the only code that
 // does so. Feedback writes the features its updates moved, so its cost
 // follows what moved, not how many weights were ever learned. One case
-// needs every weight: an edge added after its weight was learned (a
-// restored session whose snapshot named an edge that Discover re-adds
-// later) enters the graph at its default cost. So the first sync after
-// the graph's structure moved, and the first sync ever, write all of
-// them.
+// needs every weight: an edge added after its weight was set on the
+// learner (Mira.SetWeight for an edge the graph does not hold yet)
+// enters the graph at its default cost. A restore no longer does this —
+// it adds each saved edge with its cost before seeding the weight — but
+// the first sync after the graph's structure moved, and the first sync
+// ever, still write all of them, so no learned feature keeps a stale
+// cost on the graph.
 func (l *Learner) syncCosts(moved []string) {
 	if sg := l.Graph.StructGeneration(); sg != l.syncStruct {
 		for id, w := range l.Mira.Snapshot() {

@@ -8,20 +8,19 @@ import (
 )
 
 // Snapshot compression framing. Session snapshots are JSON (very
-// repetitive: repeated column names, cell kind tags, edge IDs), so the
-// durable store gzips them before they hit disk. A one-byte format
-// marker prefixes the compressed payload; raw JSON can never start with
-// that byte (a JSON document opens with '{', '[', whitespace, or a
-// scalar), so MemStore-era uncompressed snapshots — and files written
-// by hand or by older builds — still load through the same path.
+// repetitive: repeated column names, cell kind tags, edge endpoints), so
+// a snapshot that leaves the process — a durable store's file, a
+// System.SaveSession export — is gzipped behind a one-byte format
+// marker. Framed bytes are the only form a snapshot takes outside the
+// process; Decompress rejects anything else.
 
 // FrameGzip marks a gzip-compressed snapshot payload. The value is an
 // ASCII SOH, unreachable as the first byte of any JSON document.
 const FrameGzip byte = 0x01
 
 // Compress frames data as a gzip-compressed snapshot payload. The
-// result always starts with FrameGzip; pass it to Decompress (or any
-// frame-aware reader) to get the original bytes back.
+// result always starts with FrameGzip; pass it to Decompress to get the
+// original bytes back.
 func Compress(data []byte) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(FrameGzip)
@@ -31,13 +30,12 @@ func Compress(data []byte) []byte {
 	return buf.Bytes()
 }
 
-// Decompress undoes Compress. Unframed payloads (no FrameGzip marker)
-// pass through untouched, which is what keeps raw MemStore-era
-// snapshots loadable; a framed payload that fails to inflate is a
-// corruption error.
+// Decompress undoes Compress. Input without the FrameGzip marker (raw
+// JSON included) is an error, and so is a framed payload that fails to
+// inflate.
 func Decompress(data []byte) ([]byte, error) {
 	if len(data) == 0 || data[0] != FrameGzip {
-		return data, nil
+		return nil, fmt.Errorf("persist: not a framed snapshot (want format byte 0x%02x)", FrameGzip)
 	}
 	zr, err := gzip.NewReader(bytes.NewReader(data[1:]))
 	if err != nil {
@@ -51,9 +49,4 @@ func Decompress(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("persist: corrupt gzip frame: %w", err)
 	}
 	return out, nil
-}
-
-// Compressed reports whether data carries the gzip frame marker.
-func Compressed(data []byte) bool {
-	return len(data) > 0 && data[0] == FrameGzip
 }

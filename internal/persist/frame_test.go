@@ -15,7 +15,7 @@ func TestFrameRoundTrip(t *testing.T) {
 		{0x00, 0x01, 0xFF, 0xFE}, // binary payloads survive too
 	} {
 		framed := Compress(in)
-		if len(in) > 0 && !Compressed(framed) {
+		if framed[0] != FrameGzip {
 			t.Fatalf("Compress output missing frame marker: % x", framed[:1])
 		}
 		out, err := Decompress(framed)
@@ -28,19 +28,14 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// Unframed payloads — MemStore-era raw JSON snapshots — must pass
-// through Decompress untouched.
-func TestFrameRawPassthrough(t *testing.T) {
-	raw := []byte(`{"version":1,"relations":[]}`)
-	out, err := Decompress(raw)
-	if err != nil {
-		t.Fatalf("Decompress raw: %v", err)
-	}
-	if !bytes.Equal(out, raw) {
-		t.Fatal("raw JSON snapshot was altered by Decompress")
-	}
-	if Compressed(raw) {
-		t.Fatal("raw JSON misdetected as framed")
+// Unframed payloads — raw JSON snapshots included — are rejected, not
+// passed through: framed bytes are the only form a snapshot takes
+// outside the process.
+func TestFrameRejectsUnframed(t *testing.T) {
+	for _, raw := range [][]byte{nil, []byte(`{"version":3,"relations":[]}`), []byte("\n  {}")} {
+		if out, err := Decompress(raw); err == nil || out != nil {
+			t.Fatalf("Decompress(%q) = %q, %v; want an error", raw, out, err)
+		}
 	}
 }
 
@@ -61,7 +56,7 @@ func TestFrameCompressesRealSnapshots(t *testing.T) {
 	// A realistic snapshot shape: repeated keys and cell tags, like the
 	// persist JSON format produces.
 	var b strings.Builder
-	b.WriteString(`{"version":2,"relations":[{"name":"Shelters","rows":[`)
+	b.WriteString(`{"version":3,"relations":[{"name":"Shelters","rows":[`)
 	for i := 0; i < 500; i++ {
 		if i > 0 {
 			b.WriteString(",")

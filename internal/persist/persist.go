@@ -1,13 +1,15 @@
 // Package persist serializes a CopyCat session to JSON and restores it:
 // materialized catalog relations (with learned semantic types and foreign
-// keys), the semantic-type library, and the learned source-graph edge
-// costs. This implements the paper's "persistently saved as an
+// keys), the semantic-type library, the source graph with every edge's
+// learned cost, the workspace surface, and the plan-cache and quality
+// counters. This implements the paper's "persistently saved as an
 // integrated, mediated view of the data" (§1): an integration built
 // interactively can be reloaded and queried later.
 //
 // Services are functions and are not serialized; applications re-register
-// them on load, and the saved edge costs re-attach by edge ID when the
-// graph is re-discovered.
+// them on load. The saved graph is restored as it was, not re-discovered:
+// an edge discovered over a schema that later widened survives the reload
+// with its learned cost.
 package persist
 
 import (
@@ -46,6 +48,24 @@ type relationDump struct {
 	Keys    map[string]string `json:"keys,omitempty"`
 }
 
+// EdgeDump serializes one source-graph edge. The edge ID is not stored:
+// Graph.AddEdge derives it from these fields. Cost is always written,
+// because AddEdge reads a zero cost as "unset".
+type EdgeDump struct {
+	From     string   `json:"from"`
+	To       string   `json:"to"`
+	Kind     uint8    `json:"kind"`
+	FromCols []string `json:"from_cols"`
+	ToCols   []string `json:"to_cols"`
+	Cost     float64  `json:"cost"`
+}
+
+// Edge returns the graph edge the dump describes.
+func (d EdgeDump) Edge() sourcegraph.Edge {
+	return sourcegraph.Edge{From: d.From, To: d.To, Kind: sourcegraph.EdgeKind(d.Kind),
+		FromCols: d.FromCols, ToCols: d.ToCols, Cost: d.Cost}
+}
+
 // TabDump serializes one workspace tab: its committed source node,
 // schema, and concrete (non-suggested) rows. Suggested rows are pending
 // proposals and are recomputed by the next suggestion refresh;
@@ -77,72 +97,40 @@ type CacheCounters struct {
 	Evictions uint64 `json:"evictions"`
 }
 
-// Session is the serialized form of a CopyCat installation's learned
-// state.
+// Session is the serialized form of a CopyCat session.
 type Session struct {
 	Version   int                    `json:"version"`
 	Relations []relationDump         `json:"relations"`
 	Types     []modellearn.ModelDump `json:"types"`
-	EdgeCosts map[string]float64     `json:"edge_costs,omitempty"`
-	// Workspace and PlanCache are the v2 additions; both absent in v1
-	// snapshots (pre-session format) and on Save without extras.
-	Workspace *WorkspaceDump `json:"workspace,omitempty"`
+	// Edges is the source graph in Graph.Edges() order.
+	Edges     []EdgeDump    `json:"edges"`
+	Workspace WorkspaceDump `json:"workspace"`
+	// PlanCache is absent when the session runs without a plan cache.
 	PlanCache *CacheCounters `json:"plancache,omitempty"`
 	// Quality carries the session's suggestion-quality counters
 	// (acceptance rate, rank-of-accepted, rounds-to-accept) across an
 	// evict/reload cycle, like PlanCache does for cache counters.
-	// Absent in snapshots taken before quality telemetry existed.
-	Quality *obs.QualityStats `json:"quality,omitempty"`
+	Quality obs.QualityStats `json:"quality"`
 }
 
-// CurrentVersion is the session format version. Version 2 added the
-// workspace surface (tabs, mode) and plan-cache counters for session
-// eviction/reload; version 1 snapshots still load (their workspace and
-// cache extras are simply absent).
-const CurrentVersion = 2
+// CurrentVersion is the session format version, and the only one Load
+// accepts.
+const CurrentVersion = 3
 
-// minSupportedVersion is the oldest snapshot format Load still accepts.
-const minSupportedVersion = 1
-
-// Save serializes the catalog's materialized relations, the type
-// library, and the graph's learned edge costs. Any argument may be nil.
-func Save(cat *catalog.Catalog, types *modellearn.Library, g *sourcegraph.Graph) ([]byte, error) {
-	return SaveState(cat, types, g, nil)
-}
-
-// Extras are the v2 additions to a saved session: the workspace surface
-// and the plan-cache counters. Either field (or the whole struct) may
-// be nil.
-type Extras struct {
-	Workspace *WorkspaceDump
-	PlanCache *CacheCounters
-	Quality   *obs.QualityStats
-}
-
-// SaveState serializes a full session snapshot: relations, types, edge
-// costs, plus the v2 extras. Any argument may be nil.
-func SaveState(cat *catalog.Catalog, types *modellearn.Library, g *sourcegraph.Graph, extras *Extras) ([]byte, error) {
-	s := Session{Version: CurrentVersion}
-	if extras != nil {
-		s.Workspace = extras.Workspace
-		s.PlanCache = extras.PlanCache
-		s.Quality = extras.Quality
-	}
+// Save serializes a session snapshot. s carries the workspace surface
+// and the plan-cache and quality counters; Save stamps the version and
+// fills in the catalog's materialized relations, the type library, and
+// every edge of g with its cost. cat, types and g may each be nil.
+func Save(s Session, cat *catalog.Catalog, types *modellearn.Library, g *sourcegraph.Graph) ([]byte, error) {
+	s.Version = CurrentVersion
 	if cat != nil {
 		for _, src := range cat.All() {
 			if src.Kind != catalog.KindRelation || src.Rel == nil {
 				continue
 			}
-			rd := relationDump{Name: src.Name, Origin: src.Origin, Keys: src.Keys}
-			for _, c := range src.Rel.Schema {
-				rd.Columns = append(rd.Columns, columnDump{Name: c.Name, Kind: uint8(c.Kind), SemType: c.SemType})
-			}
+			rd := relationDump{Name: src.Name, Origin: src.Origin, Keys: src.Keys, Columns: dumpColumns(src.Rel.Schema)}
 			for _, row := range src.Rel.Rows {
-				cells := make([]cellDump, len(row))
-				for i, v := range row {
-					cells[i] = dumpCell(v)
-				}
-				rd.Rows = append(rd.Rows, cells)
+				rd.Rows = append(rd.Rows, dumpRow(row))
 			}
 			s.Relations = append(s.Relations, rd)
 		}
@@ -151,89 +139,31 @@ func SaveState(cat *catalog.Catalog, types *modellearn.Library, g *sourcegraph.G
 		s.Types = types.Export()
 	}
 	if g != nil {
-		s.EdgeCosts = map[string]float64{}
 		for _, e := range g.Edges() {
-			if e.Cost != sourcegraph.DefaultCost {
-				s.EdgeCosts[e.ID] = e.Cost
-			}
+			s.Edges = append(s.Edges, EdgeDump{From: e.From, To: e.To, Kind: uint8(e.Kind),
+				FromCols: e.FromCols, ToCols: e.ToCols, Cost: e.Cost})
 		}
 	}
 	return json.MarshalIndent(s, "", " ")
 }
 
-func dumpCell(v table.Value) cellDump {
-	switch v.Kind() {
-	case table.KindString:
-		return cellDump{K: uint8(table.KindString), V: v.Str()}
-	case table.KindNumber:
-		return cellDump{K: uint8(table.KindNumber), N: v.Num()}
-	case table.KindBool:
-		return cellDump{K: uint8(table.KindBool), B: v.Bool()}
-	}
-	return cellDump{K: uint8(table.KindNull)}
-}
-
-func loadCell(c cellDump) table.Value {
-	switch table.Kind(c.K) {
-	case table.KindString:
-		return table.S(c.V)
-	case table.KindNumber:
-		return table.N(c.N)
-	case table.KindBool:
-		return table.B(c.B)
-	}
-	return table.Null()
-}
-
-// Load parses a session and restores it into the given catalog and type
-// library (either may be nil to skip). It returns the saved edge costs
-// for re-application via ApplyCosts once the caller has re-discovered the
-// source graph.
-func Load(data []byte, cat *catalog.Catalog, types *modellearn.Library) (map[string]float64, error) {
-	r, err := LoadState(data, cat, types)
-	if err != nil {
-		return nil, err
-	}
-	return r.EdgeCosts, nil
-}
-
-// Restored is what LoadState recovered from a snapshot beyond the
-// catalog/library merge it performed: the saved edge costs, plus the v2
-// extras (nil when loading a v1 snapshot).
-type Restored struct {
-	Version   int
-	EdgeCosts map[string]float64
-	Workspace *WorkspaceDump
-	PlanCache *CacheCounters
-	Quality   *obs.QualityStats
-}
-
-// LoadState parses a session of any supported version (1 or 2) and
-// restores it into the given catalog and type library (either may be
-// nil to skip). Migration is by omission: a v1 snapshot simply has no
-// workspace or plan-cache extras, and the caller proceeds with a fresh
-// workspace exactly as the pre-session facade did.
-func LoadState(data []byte, cat *catalog.Catalog, types *modellearn.Library) (*Restored, error) {
+// Load parses a snapshot of the current version, merges its relations
+// into cat and its types into the library (either may be nil to skip),
+// and returns the decoded session for the caller to restore the graph,
+// workspace and counters from.
+func Load(data []byte, cat *catalog.Catalog, types *modellearn.Library) (*Session, error) {
 	var s Session
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	if s.Version < minSupportedVersion || s.Version > CurrentVersion {
-		return nil, fmt.Errorf("persist: unsupported session version %d", s.Version)
+	if s.Version != CurrentVersion {
+		return nil, fmt.Errorf("persist: unsupported session version %d (want %d)", s.Version, CurrentVersion)
 	}
 	if cat != nil {
 		for _, rd := range s.Relations {
-			schema := make(table.Schema, len(rd.Columns))
-			for i, c := range rd.Columns {
-				schema[i] = table.Column{Name: c.Name, Kind: table.Kind(c.Kind), SemType: c.SemType}
-			}
-			rel := table.NewRelation(rd.Name, schema)
+			rel := table.NewRelation(rd.Name, loadColumns(rd.Columns))
 			for _, cells := range rd.Rows {
-				row := make(table.Tuple, len(cells))
-				for i, c := range cells {
-					row[i] = loadCell(c)
-				}
-				if err := rel.Append(row); err != nil {
+				if err := rel.Append(loadRow(cells)); err != nil {
 					return nil, fmt.Errorf("persist: relation %s: %w", rd.Name, err)
 				}
 			}
@@ -244,36 +174,70 @@ func LoadState(data []byte, cat *catalog.Catalog, types *modellearn.Library) (*R
 	if types != nil {
 		types.Import(s.Types)
 	}
-	return &Restored{
-		Version:   s.Version,
-		EdgeCosts: s.EdgeCosts,
-		Workspace: s.Workspace,
-		PlanCache: s.PlanCache,
-		Quality:   s.Quality,
-	}, nil
+	return &s, nil
 }
 
-// DumpWorkspace captures the workspace surface for a v2 snapshot: the
-// interaction mode, every tab's schema, committed source node, and
-// concrete rows, and which tab is active. Pending suggestions, undo
-// history, and provenance are intentionally not captured — they are
-// recomputed (or reset) on reload; see RestoreWorkspace.
-func DumpWorkspace(w *workspace.Workspace) *WorkspaceDump {
-	if w == nil {
-		return nil
+func dumpColumns(schema table.Schema) []columnDump {
+	out := make([]columnDump, len(schema))
+	for i, c := range schema {
+		out[i] = columnDump{Name: c.Name, Kind: uint8(c.Kind), SemType: c.SemType}
 	}
-	d := &WorkspaceDump{Mode: uint8(w.Mode()), Active: w.ActiveTab().Name}
-	for _, t := range w.Tabs() {
-		td := TabDump{Name: t.Name, SourceNode: t.SourceNode}
-		for _, c := range t.Schema {
-			td.Columns = append(td.Columns, columnDump{Name: c.Name, Kind: uint8(c.Kind), SemType: c.SemType})
+	return out
+}
+
+func loadColumns(cols []columnDump) table.Schema {
+	schema := make(table.Schema, len(cols))
+	for i, c := range cols {
+		schema[i] = table.Column{Name: c.Name, Kind: table.Kind(c.Kind), SemType: c.SemType}
+	}
+	return schema
+}
+
+func dumpRow(row table.Tuple) []cellDump {
+	cells := make([]cellDump, len(row))
+	for i, v := range row {
+		switch v.Kind() {
+		case table.KindString:
+			cells[i] = cellDump{K: uint8(table.KindString), V: v.Str()}
+		case table.KindNumber:
+			cells[i] = cellDump{K: uint8(table.KindNumber), N: v.Num()}
+		case table.KindBool:
+			cells[i] = cellDump{K: uint8(table.KindBool), B: v.Bool()}
+		default:
+			cells[i] = cellDump{K: uint8(table.KindNull)}
 		}
+	}
+	return cells
+}
+
+func loadRow(cells []cellDump) table.Tuple {
+	row := make(table.Tuple, len(cells))
+	for i, c := range cells {
+		switch table.Kind(c.K) {
+		case table.KindString:
+			row[i] = table.S(c.V)
+		case table.KindNumber:
+			row[i] = table.N(c.N)
+		case table.KindBool:
+			row[i] = table.B(c.B)
+		default:
+			row[i] = table.Null()
+		}
+	}
+	return row
+}
+
+// DumpWorkspace captures the workspace surface: the interaction mode,
+// every tab's schema, committed source node, and concrete rows, and
+// which tab is active. Pending suggestions, undo history, and
+// provenance are intentionally not captured — they are recomputed (or
+// reset) on reload; see RestoreWorkspace.
+func DumpWorkspace(w *workspace.Workspace) WorkspaceDump {
+	d := WorkspaceDump{Mode: uint8(w.Mode()), Active: w.ActiveTab().Name}
+	for _, t := range w.Tabs() {
+		td := TabDump{Name: t.Name, SourceNode: t.SourceNode, Columns: dumpColumns(t.Schema)}
 		for _, r := range t.ConcreteRows() {
-			cells := make([]cellDump, len(r.Cells))
-			for i, v := range r.Cells {
-				cells[i] = dumpCell(v)
-			}
-			td.Rows = append(td.Rows, cells)
+			td.Rows = append(td.Rows, dumpRow(r.Cells))
 		}
 		d.Tabs = append(d.Tabs, td)
 	}
@@ -286,44 +250,19 @@ func DumpWorkspace(w *workspace.Workspace) *WorkspaceDump {
 // rows carry no provenance (they explain as bare values until
 // re-derived) and no suggestion state — the next refresh recomputes
 // proposals from the restored source graph, which is exactly what makes
-// an evict/reload cycle output-invisible. A nil dump (v1 snapshot) is a
-// no-op.
-func RestoreWorkspace(w *workspace.Workspace, d *WorkspaceDump) {
-	if w == nil || d == nil {
-		return
-	}
+// an evict/reload cycle output-invisible.
+func RestoreWorkspace(w *workspace.Workspace, d WorkspaceDump) {
 	for _, td := range d.Tabs {
 		t := w.SelectTab(td.Name)
-		schema := make(table.Schema, len(td.Columns))
-		for i, c := range td.Columns {
-			schema[i] = table.Column{Name: c.Name, Kind: table.Kind(c.Kind), SemType: c.SemType}
-		}
-		t.Schema = schema
+		t.Schema = loadColumns(td.Columns)
 		t.SourceNode = td.SourceNode
 		t.Rows = nil
 		for _, cells := range td.Rows {
-			row := make(table.Tuple, len(cells))
-			for i, c := range cells {
-				row[i] = loadCell(c)
-			}
-			t.Rows = append(t.Rows, workspace.Row{Cells: row})
+			t.Rows = append(t.Rows, workspace.Row{Cells: loadRow(cells)})
 		}
 	}
 	if d.Active != "" {
 		w.SelectTab(d.Active)
 	}
 	w.SetMode(workspace.Mode(d.Mode))
-}
-
-// ApplyCosts re-attaches saved edge costs to a (re-discovered) source
-// graph; edges that no longer exist are skipped. It returns how many
-// costs were applied.
-func ApplyCosts(g *sourcegraph.Graph, costs map[string]float64) int {
-	n := 0
-	for id, c := range costs {
-		if g.SetCost(id, c) {
-			n++
-		}
-	}
-	return n
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestRoundTripProperty(t *testing.T) {
 			src.Keys = map[string]string{"C0": "Other.C0", "": "Weird.Empty"}
 		}
 
-		data, err := Save(cat, nil, nil)
+		data, err := Save(Session{}, cat, nil, nil)
 		if err != nil {
 			t.Fatalf("trial %d: Save: %v", trial, err)
 		}
@@ -103,39 +104,40 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-// TestApplyCostsOntoRediscoveredGraphWithMissingEdges saves costs for a
-// graph, then re-applies them to a re-discovered graph missing some of
-// the original sources: surviving edges get their costs, vanished edges
-// are skipped, and the count reports only what stuck.
-func TestApplyCostsOntoRediscoveredGraphWithMissingEdges(t *testing.T) {
+// TestSavedGraphRestoresWithoutRediscovery gives every edge a random
+// cost — 0 and the default among them — adds an edge discovery would
+// never find, and checks that the saved edges, added to an empty graph
+// over the loaded catalog, rebuild the same edge set with the same cost
+// bits.
+func TestSavedGraphRestoresWithoutRediscovery(t *testing.T) {
 	cat, _, g := buildState(t)
-	edges := g.Edges()
-	if len(edges) == 0 {
-		t.Skip("no edges discovered")
+	g.AddEdge(sourcegraph.Edge{From: "Shelters", To: "Contacts", Kind: sourcegraph.KindRecordLink,
+		FromCols: []string{"Name"}, ToCols: []string{"Org"}})
+	rng := rand.New(rand.NewSource(7))
+	for _, e := range g.Edges() {
+		g.SetCost(e.ID, []float64{0, sourcegraph.DefaultCost, rng.Float64() * 3}[rng.Intn(3)])
 	}
-	costs := map[string]float64{}
-	for i, e := range edges {
-		costs[e.ID] = 0.1 + float64(i)*0.01
-	}
-	costs["ghost|join|edge|x=y"] = 0.9 // an edge that will not exist
 
-	data, err := Save(cat, nil, g)
+	data, err := Save(Session{}, cat, nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cat2 := catalog.New()
-	if _, err := Load(data, cat2, nil); err != nil {
+	s, err := Load(data, cat2, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	g2 := sourcegraph.New(cat2)
-	g2.Discover(sourcegraph.DefaultOptions())
-	applied := ApplyCosts(g2, costs)
-	if applied >= len(costs) {
-		t.Errorf("applied %d of %d costs; the ghost edge should be skipped", applied, len(costs))
+	for _, d := range s.Edges {
+		g2.SetCost(g2.AddEdge(d.Edge()).ID, d.Cost)
 	}
-	for _, e := range g2.Edges() {
-		if want, ok := costs[e.ID]; ok && e.Cost != want {
-			t.Errorf("edge %s cost %v want %v", e.ID, e.Cost, want)
+	want, got := g.Edges(), g2.Edges()
+	if len(got) != len(want) {
+		t.Fatalf("restored %d edges, saved %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].ID != want[i].ID || math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) {
+			t.Errorf("edge %d: %s @%v, want %s @%v", i, got[i].ID, got[i].Cost, want[i].ID, want[i].Cost)
 		}
 	}
 }

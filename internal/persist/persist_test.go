@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -30,6 +31,14 @@ func buildState(t *testing.T) (*catalog.Catalog, *modellearn.Library, *sourcegra
 		})
 	}
 	cat.AddRelation(rel, "http://tv.example.com/shelters")
+	contacts := table.NewRelation("Contacts", table.Schema{
+		{Name: "Org", Kind: table.KindString, SemType: modellearn.TypeOrgName},
+		{Name: "City", Kind: table.KindString, SemType: modellearn.TypeCity},
+	})
+	for _, c := range w.Contacts[:3] {
+		contacts.MustAppend(table.Tuple{table.S(c.Org), table.S(c.City)})
+	}
+	cat.AddRelation(contacts, "contacts.xls")
 	if err := cat.AddKey("Shelters", "City", "Contacts", "City"); err != nil {
 		t.Fatal(err)
 	}
@@ -42,18 +51,16 @@ func buildState(t *testing.T) (*catalog.Catalog, *modellearn.Library, *sourcegra
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	cat, types, g := buildState(t)
-	// Mark a learned cost.
-	var edgeID string
-	for _, e := range g.Edges() {
-		edgeID = e.ID
-		break
+	edges := g.Edges()
+	if len(edges) < 2 {
+		t.Fatalf("buildState discovered %d edges, want >= 2", len(edges))
 	}
-	if edgeID == "" {
-		t.Skip("no edges discovered (catalog too small)")
-	}
+	// Mark a learned cost, and a cost of 0, which AddEdge reads as unset.
+	edgeID, zeroID := edges[0].ID, edges[1].ID
 	g.SetCost(edgeID, 0.42)
+	g.SetCost(zeroID, 0)
 
-	data, err := Save(cat, types, g)
+	data, err := Save(Session{}, cat, types, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +70,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 	cat2 := catalog.New()
 	types2 := modellearn.NewLibrary()
-	costs, err := Load(data, cat2, types2)
+	s, err := Load(data, cat2, types2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,18 +108,17 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(scores) == 0 || scores[0].Type != modellearn.TypeZip {
 		t.Errorf("restored types misrecognize: %v", scores)
 	}
-	// Edge costs returned and re-appliable after re-discovery.
-	if costs[edgeID] != 0.42 {
-		t.Errorf("saved costs = %v", costs)
+	// Every edge comes back, in Graph.Edges() order, with its cost.
+	if len(s.Edges) != len(edges) {
+		t.Fatalf("saved %d edges, graph has %d", len(s.Edges), len(edges))
 	}
-	g2 := sourcegraph.New(cat2)
-	g2.Discover(sourcegraph.DefaultOptions())
-	applied := ApplyCosts(g2, costs)
-	if applied == 0 {
-		t.Error("no costs re-applied")
+	for i, d := range s.Edges {
+		if got := g.AddEdge(d.Edge()); got != edges[i] || d.Cost != edges[i].Cost {
+			t.Errorf("edge %d: %+v, want %s @%v", i, d, edges[i].ID, edges[i].Cost)
+		}
 	}
-	if g2.Edge(edgeID) == nil || g2.Edge(edgeID).Cost != 0.42 {
-		t.Error("cost not re-attached")
+	if !strings.Contains(string(data), `"cost": 0`) {
+		t.Error("a zero cost must be written, not omitted")
 	}
 }
 
@@ -120,7 +126,7 @@ func TestSaveSkipsServices(t *testing.T) {
 	w := webworld.Generate(webworld.DefaultConfig())
 	cat, _, g := buildState(t)
 	_ = w
-	data, err := Save(cat, nil, g)
+	data, err := Save(Session{}, cat, nil, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,85 +139,42 @@ func TestLoadErrors(t *testing.T) {
 	if _, err := Load([]byte("not json"), catalog.New(), nil); err == nil {
 		t.Error("garbage should error")
 	}
-	if _, err := Load([]byte(`{"version": 99}`), catalog.New(), nil); err == nil {
-		t.Error("future version should error")
+	// Only the current version loads; the error names the version read.
+	for _, v := range []int{1, 2, 4, 99} {
+		_, err := Load([]byte(fmt.Sprintf(`{"version": %d}`, v)), catalog.New(), nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("version %d: err = %v, want an error naming the version", v, err)
+		}
 	}
 	// Ragged rows are rejected.
-	bad := `{"version":1,"relations":[{"name":"R","columns":[{"name":"A","kind":1}],"rows":[[{"k":1,"v":"x"},{"k":1,"v":"extra"}]]}]}`
+	bad := `{"version":3,"relations":[{"name":"R","columns":[{"name":"A","kind":1}],"rows":[[{"k":1,"v":"x"},{"k":1,"v":"extra"}]]}]}`
 	if _, err := Load([]byte(bad), catalog.New(), nil); err == nil {
 		t.Error("arity mismatch should error")
 	}
 }
 
 func TestNilArguments(t *testing.T) {
-	data, err := Save(nil, nil, nil)
+	data, err := Save(Session{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costs, err := Load(data, nil, nil)
-	if err != nil || len(costs) != 0 {
-		t.Errorf("nil round trip: %v %v", costs, err)
-	}
-	if ApplyCosts(sourcegraph.New(catalog.New()), nil) != 0 {
-		t.Error("empty apply should be 0")
+	s, err := Load(data, nil, nil)
+	if err != nil || len(s.Edges) != 0 {
+		t.Errorf("nil round trip: %v %v", s, err)
 	}
 }
 
-func TestApplyCostsSkipsUnknownEdges(t *testing.T) {
-	g := sourcegraph.New(catalog.New())
-	n := ApplyCosts(g, map[string]float64{"ghost|join|edge|a=b": 0.5})
-	if n != 0 {
-		t.Error("unknown edge should be skipped")
-	}
-}
-
-// TestMigrationV1 pins the pre-session snapshot format: a version-1
-// document (no workspace, no plancache blocks) still loads, delivering
-// its relations, types, and edge costs with nil extras — the migration
-// is by omission.
-func TestMigrationV1(t *testing.T) {
-	v1 := `{
-	 "version": 1,
-	 "relations": [{
-	  "name": "Legacy",
-	  "origin": "import",
-	  "columns": [{"name": "A", "kind": 1}],
-	  "rows": [[{"k": 1, "v": "x"}], [{"k": 1, "v": "y"}]]
-	 }],
-	 "types": [],
-	 "edge_costs": {"some|join|edge|a=b": 0.25}
-	}`
-	cat := catalog.New()
-	r, err := LoadState([]byte(v1), cat, modellearn.NewLibrary())
-	if err != nil {
-		t.Fatalf("v1 snapshot failed to load: %v", err)
-	}
-	if r.Version != 1 {
-		t.Fatalf("Version = %d, want 1", r.Version)
-	}
-	if r.Workspace != nil || r.PlanCache != nil {
-		t.Fatal("v1 snapshot must have nil extras")
-	}
-	if r.EdgeCosts["some|join|edge|a=b"] != 0.25 {
-		t.Fatalf("edge costs lost in migration: %v", r.EdgeCosts)
-	}
-	src := cat.Get("Legacy")
-	if src == nil || src.Rel == nil || len(src.Rel.Rows) != 2 {
-		t.Fatal("v1 relation not restored")
-	}
-}
-
-func TestSaveStateIsV2(t *testing.T) {
-	data, err := SaveState(nil, nil, nil, nil)
+func TestSaveIsV3(t *testing.T) {
+	data, err := Save(Session{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"version": 2`) {
-		t.Fatalf("SaveState should stamp version 2:\n%s", data)
+	if !strings.Contains(string(data), `"version": 3`) {
+		t.Fatalf("Save should stamp version 3:\n%s", data)
 	}
 }
 
-// TestWorkspaceDumpRoundTrip checks the v2 surface: tabs, schemas,
+// TestWorkspaceDumpRoundTrip checks the workspace surface: tabs, schemas,
 // source nodes, concrete rows, active tab, and mode survive a
 // dump/restore into a fresh workspace; suggested rows are dropped.
 func TestWorkspaceDumpRoundTrip(t *testing.T) {
@@ -249,6 +212,4 @@ func TestWorkspaceDumpRoundTrip(t *testing.T) {
 	if len(ws2.Tabs()) != 2 {
 		t.Fatalf("tab count = %d", len(ws2.Tabs()))
 	}
-	// Restoring a nil dump (v1 snapshot) is a no-op.
-	RestoreWorkspace(ws2, nil)
 }

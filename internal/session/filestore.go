@@ -1,7 +1,6 @@
 package session
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -27,10 +26,6 @@ import (
 // bytes to the restore path. A file that fails any check is moved into
 // a quarantine/ subdirectory (preserved for forensics, out of the hot
 // path) instead of erroring forever on every Acquire.
-//
-// Legacy compatibility: a snapshot file holding raw JSON (no header —
-// the MemStore-era format, or a snapshot dropped in by hand from
-// System.SaveSession) loads as-is.
 //
 // A manifest.json sidecar in the root records per-snapshot metadata
 // (tenant, creation time) so a manager rebuilt over the directory
@@ -61,7 +56,7 @@ type FileStore struct {
 }
 
 type fileSizes struct {
-	raw    int64 // uncompressed snapshot bytes (equals stored for legacy files)
+	raw    int64 // uncompressed snapshot bytes (equals stored when the header is unreadable)
 	stored int64 // bytes on disk, header included
 }
 
@@ -310,10 +305,6 @@ func (s *FileStore) Load(id string) ([]byte, bool, error) {
 		return nil, false, fmt.Errorf("session: filestore load %s: %w", id, err)
 	}
 	if len(raw) < len(snapMagic) || string(raw[:4]) != snapMagic {
-		// No header: either a legacy raw-JSON snapshot or garbage.
-		if trimmed := bytes.TrimLeft(raw, " \t\r\n"); len(trimmed) > 0 && (trimmed[0] == '{' || trimmed[0] == '[') {
-			return raw, true, nil
-		}
 		return nil, false, s.quarantine(id, "unrecognized header")
 	}
 	if len(raw) < snapHeaderLen || raw[4] != snapVersion {

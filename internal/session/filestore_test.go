@@ -102,26 +102,6 @@ func TestFileStoreSaveReplacesAtomically(t *testing.T) {
 	}
 }
 
-// A snapshot file holding raw JSON — the MemStore-era format, or one
-// dropped in by hand from System.SaveSession — loads as-is.
-func TestFileStoreLoadsLegacyRawJSON(t *testing.T) {
-	fs, err := session.NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw := []byte("\n  {\"version\":2,\"relations\":[]}")
-	if err := os.WriteFile(snapPath(fs, "s000007"), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, ok, err := fs.Load("s000007")
-	if err != nil || !ok {
-		t.Fatalf("Load legacy = ok=%v err=%v", ok, err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("legacy snapshot altered on load")
-	}
-}
-
 func TestFileStoreQuarantinesCorruption(t *testing.T) {
 	good := repetitiveSnapshot()
 	corruptions := []struct {
@@ -130,6 +110,13 @@ func TestFileStoreQuarantinesCorruption(t *testing.T) {
 	}{
 		{"garbage", func(path string, t *testing.T) {
 			if err := os.WriteFile(path, []byte("\x00\x02not a snapshot"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		// Raw JSON is not a snapshot file: a file store holds only
+		// framed snapshots behind its header.
+		{"raw-json", func(path string, t *testing.T) {
+			if err := os.WriteFile(path, []byte("\n  {\"version\":3,\"relations\":[]}"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}},

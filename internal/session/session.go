@@ -64,48 +64,51 @@ type State struct {
 // the snapshot on top).
 type Factory func() (*State, error)
 
-// Snapshot serializes the state with the v2 persist format: relations,
-// types, learned edge costs, the workspace surface, and the plan-cache
-// counters. SLO window state is intentionally NOT serialized: the
-// windows are time-based (minutes), so by the time an evicted session
-// is reloaded they would have aged out anyway — reload resets them, and
-// DESIGN.md §12 documents the reset.
+// Snapshot serializes the state in the persist format: relations,
+// types, the source graph with its learned edge costs, the workspace
+// surface, and the plan-cache and quality counters. SLO window state is
+// intentionally NOT serialized: the windows are time-based (minutes),
+// so by the time an evicted session is reloaded they would have aged
+// out anyway — reload resets them, and DESIGN.md §12 documents the
+// reset.
 func (st *State) Snapshot() ([]byte, error) {
-	extras := &persist.Extras{Workspace: persist.DumpWorkspace(st.Workspace)}
-	if pc := st.Workspace.PlanCache; pc != nil {
+	ws := st.Workspace
+	s := persist.Session{Workspace: persist.DumpWorkspace(ws), Quality: ws.Quality.Snapshot()}
+	if pc := ws.PlanCache; pc != nil {
 		h, m, e := pc.Stats()
-		extras.PlanCache = &persist.CacheCounters{Hits: h, Misses: m, Evictions: e}
+		s.PlanCache = &persist.CacheCounters{Hits: h, Misses: m, Evictions: e}
 	}
-	q := st.Workspace.Quality.Snapshot()
-	extras.Quality = &q
-	return persist.SaveState(st.Catalog, st.Types, st.Workspace.Int.Graph, extras)
+	return persist.Save(s, st.Catalog, st.Types, ws.Int.Graph)
 }
 
-// Restore replays a snapshot (v1 or v2) into this state: relations and
-// types merge into the catalog/library, the source graph re-discovers
-// its associations, learned edge costs re-attach to both the graph and
-// the MIRA learner, the workspace surface (tabs, mode) is rebuilt, and
-// the plan-cache counters carry forward. The cache contents start cold;
-// incremental refresh re-fills them (warm and cold refreshes are
-// output-equivalent, so the reload is invisible in the suggestions).
+// Restore replays a snapshot into this state: relations and types merge
+// into the catalog/library, every saved edge is added to the source
+// graph with its saved cost (the graph was discovered before it was
+// saved, so it is not discovered again), non-default costs seed the
+// MIRA learner, the workspace surface (tabs, mode) is rebuilt, and the
+// plan-cache and quality counters carry forward. The cache contents
+// start cold; incremental refresh re-fills them (warm and cold
+// refreshes are output-equivalent, so the reload is invisible in the
+// suggestions).
 func (st *State) Restore(data []byte) error {
-	r, err := persist.LoadState(data, st.Catalog, st.Types)
+	s, err := persist.Load(data, st.Catalog, st.Types)
 	if err != nil {
 		return err
 	}
 	ws := st.Workspace
-	ws.Int.Graph.Discover(sourcegraph.DefaultOptions())
-	persist.ApplyCosts(ws.Int.Graph, r.EdgeCosts)
-	for id, c := range r.EdgeCosts {
-		ws.Int.Mira.SetWeight(id, c)
+	g := ws.Int.Graph
+	for _, d := range s.Edges {
+		id := g.AddEdge(d.Edge()).ID
+		g.SetCost(id, d.Cost)
+		if d.Cost != sourcegraph.DefaultCost {
+			ws.Int.Mira.SetWeight(id, d.Cost)
+		}
 	}
-	persist.RestoreWorkspace(ws, r.Workspace)
-	if r.PlanCache != nil && ws.PlanCache != nil {
-		ws.PlanCache.RestoreStats(r.PlanCache.Hits, r.PlanCache.Misses, r.PlanCache.Evictions)
+	persist.RestoreWorkspace(ws, s.Workspace)
+	if s.PlanCache != nil && ws.PlanCache != nil {
+		ws.PlanCache.RestoreStats(s.PlanCache.Hits, s.PlanCache.Misses, s.PlanCache.Evictions)
 	}
-	if r.Quality != nil {
-		ws.Quality.Restore(*r.Quality)
-	}
+	ws.Quality.Restore(s.Quality)
 	return nil
 }
 

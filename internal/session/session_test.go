@@ -3,11 +3,13 @@ package session_test
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"time"
 
+	"copycat/internal/docmodel"
 	"copycat/internal/obs"
 	"copycat/internal/resilience"
 	"copycat/internal/session"
@@ -51,6 +53,36 @@ func mustImport(t *testing.T, w *webworld.World, st *session.State) {
 	if err := simuser.ImportShelters(st.Workspace, w, webworld.StyleTable); err != nil {
 		t.Fatalf("import: %v", err)
 	}
+}
+
+// mustImportContacts pastes two rows of the contacts sheet into a
+// Contacts tab, accepts the generalized rows, and returns to Sheet1 in
+// integration mode, so the shelter tab's completions include the
+// record-link route to the contacts.
+func mustImportContacts(t *testing.T, w *webworld.World, st *session.State) {
+	t.Helper()
+	ws := st.Workspace
+	doc := w.ContactsSpreadsheet()
+	ws.SetMode(workspace.ModeImport)
+	ws.SelectTab("Contacts")
+	if err := ws.Paste(docmodel.Selection{Cells: doc.Grid()[1:3], Doc: doc}); err != nil {
+		t.Fatalf("paste contacts: %v", err)
+	}
+	if err := ws.AcceptRows(); err != nil {
+		t.Fatalf("accept contacts: %v", err)
+	}
+	ws.SelectTab("Sheet1")
+	ws.SetMode(workspace.ModeIntegration)
+}
+
+// edgesDigest renders the source graph's edge set: every edge ID with
+// the bits of its cost.
+func edgesDigest(ws *workspace.Workspace) string {
+	var b strings.Builder
+	for _, e := range ws.Int.Graph.Edges() {
+		fmt.Fprintf(&b, "%s@%x\n", e.ID, math.Float64bits(e.Cost))
+	}
+	return b.String()
 }
 
 func TestLifecycle(t *testing.T) {
@@ -211,11 +243,15 @@ func testStores(t *testing.T) map[string]func() session.Store {
 
 // TestEvictReloadIdenticalSuggestions is the property test behind the
 // "transparent reload" claim: across seeded random accept/reject
-// feedback, a session's suggestion list after evict+reload is identical
-// to the one it would have produced had it stayed resident — learned
-// MIRA weights, tabs, and relations all survive the round trip. It
-// holds over both stores: the durable tier's gzip framing and header
-// checks are invisible to the suggestions.
+// feedback, a session's suggestion list and source graph (every edge ID
+// and cost bit) after evict+reload are identical to the ones it would
+// have had had it stayed resident — learned MIRA weights, tabs,
+// relations and edges all survive the round trip. After the reject
+// rounds the contacts sheet is imported and one seeded completion,
+// record-link route included, is accepted: the accept widens Sheet1's
+// schema, and the edges discovered over the narrower schema must
+// survive the reload. It holds over both stores: the durable tier's
+// gzip framing and header checks are invisible to the suggestions.
 func TestEvictReloadIdenticalSuggestions(t *testing.T) {
 	w := testWorld()
 	for storeName, newStore := range testStores(t) {
@@ -228,23 +264,37 @@ func TestEvictReloadIdenticalSuggestions(t *testing.T) {
 				}
 				mustImport(t, w, s.State())
 				rng := rand.New(rand.NewSource(seed))
-				for round := 0; round < 4; round++ {
+				const rejectRounds = 4
+				for round := 0; round <= rejectRounds; round++ {
 					ws := s.State().Workspace
-					comps := ws.RefreshColumnSuggestions()
-					if len(comps) > 1 {
-						// Random feedback: reject one of the top-2 proposals so
-						// the MIRA weights actually move each round.
-						if err := ws.RejectColumn(rng.Intn(2)); err != nil {
-							t.Fatalf("round %d: reject: %v", round, err)
+					if round < rejectRounds {
+						if comps := ws.RefreshColumnSuggestions(); len(comps) > 1 {
+							// Random feedback: reject one of the top-2 proposals so
+							// the MIRA weights actually move each round.
+							if err := ws.RejectColumn(rng.Intn(2)); err != nil {
+								t.Fatalf("round %d: reject: %v", round, err)
+							}
+						}
+					} else {
+						mustImportContacts(t, w, s.State())
+						comps := ws.RefreshColumnSuggestions()
+						pick := rng.Intn(len(comps))
+						t.Logf("accepting %s", comps[pick].Edge.ID)
+						if err := ws.AcceptColumn(pick); err != nil {
+							t.Fatalf("round %d: accept: %v", round, err)
 						}
 					}
-					want := completionsDigest(ws)
+					want, wantEdges := completionsDigest(ws), edgesDigest(ws)
 					s.Release()
 					if err := m.Evict(s.ID()); err != nil {
 						t.Fatalf("round %d: evict: %v", round, err)
 					}
 					if s, err = m.Acquire(s.ID()); err != nil {
 						t.Fatalf("round %d: acquire: %v", round, err)
+					}
+					if got := edgesDigest(s.State().Workspace); got != wantEdges {
+						t.Fatalf("round %d: source graph diverged after reload\nwant:\n%s\ngot:\n%s",
+							round, wantEdges, got)
 					}
 					if got := completionsDigest(s.State().Workspace); got != want {
 						t.Fatalf("round %d: suggestions diverged after reload\nwant:\n%s\ngot:\n%s",
